@@ -9,7 +9,7 @@ response —
     structured errors without killing the daemon;
   * content-addressed caching: repeated specs hit, duplicate specs within
     one batch dedup onto a single computation, engine-option variants
-    (force_scc, explore_threads) are keyed separately with agreeing
+    (force_scc, class_dispatch) are keyed separately with agreeing
     verdicts, and a model delta invalidates only its own digest;
   * budget_ms: 0 on an uncached spec yields a well-formed budget-deadline
     Unknown with MPH-V004, and the exhausted result is never cached;
@@ -48,7 +48,7 @@ REQUESTS = [
     {"op": "check", "id": 6, "model": "peterson", "specs": [SAFETY],
      "force_scc": True},                                      # separate cache key
     {"op": "check", "id": 7, "model": "peterson", "specs": [SAFETY],
-     "explore_threads": 2},                                   # separate cache key
+     "class_dispatch": True},                                 # separate cache key
     {"op": "check", "id": 8, "model": TOGGLE, "specs": ["F xhi", "G xlo"]},
     {"op": "check", "id": 9, "model": TOGGLE, "specs": ["F xhi"]},
     {"op": "check", "id": 10, "model": TOGGLE_DELTA, "specs": ["F xhi"]},
@@ -158,11 +158,11 @@ def main():
     expect(scc["options_digest"] != warm["options_digest"],
            "options digest must differ under force_scc", scc)
 
-    par = by_id[7]
-    expect(result_of(par)["cache"] == "miss"
-           and result_of(par)["verdict"] == "holds",
-           "explore_threads must be keyed separately with the same verdict",
-           par)
+    dispatch = by_id[7]
+    expect(result_of(dispatch)["cache"] == "miss"
+           and result_of(dispatch)["verdict"] == "holds",
+           "class_dispatch must be keyed separately with the same verdict",
+           dispatch)
 
     # -- inline models: content addressing and deltas ----------------------
     inline = by_id[8]

@@ -10,8 +10,6 @@
 #include <sstream>
 #include <thread>
 
-#include "src/fts/checker_detail.hpp"
-#include "src/fts/parallel.hpp"
 #include "src/ltl/hierarchy.hpp"
 #include "src/ltl/normalize.hpp"
 #include "src/ltl/syntactic.hpp"
@@ -72,12 +70,25 @@ double elapsed(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-// The NegSpecView / product-key helpers live in checker_detail.hpp so the
-// multicore engines (parallel.cpp) share them.
-using detail::NegSpecView;
-using detail::aut_of;
-using detail::node_of;
-using detail::pack;
+/// A uniform view over the two automaton back-ends for ¬spec: the
+/// deterministic hierarchy-fragment compiler and the NBA tableau.
+struct NegSpecView {
+  std::vector<omega::State> initial;
+  std::function<std::vector<omega::State>(omega::State, lang::Symbol)> step;
+  std::function<MarkSet(omega::State)> marks;
+  Acceptance acceptance = Acceptance::t();
+  std::size_t state_count = 0;
+};
+
+/// 64-bit product keys: state-graph node in the high half, automaton state
+/// in the low half.
+constexpr std::uint64_t pack(std::size_t n, omega::State q) {
+  return (static_cast<std::uint64_t>(n) << 32) | q;
+}
+constexpr std::size_t node_of(std::uint64_t key) { return key >> 32; }
+constexpr omega::State aut_of(std::uint64_t key) {
+  return static_cast<omega::State>(key & 0xffffffffu);
+}
 
 NegSpecView deterministic_view(std::shared_ptr<omega::DetOmega> m) {
   NegSpecView v;
@@ -490,69 +501,44 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
       result.stats.engine = CheckEngine::SafetyPrefix;
       auto t_search = Clock::now();
       const std::vector<bool> live = omega::live_states(*m);
-      // Node path root..bad of a run driving det(spec) dead; shared by the
-      // sequential BFS and the multicore scan so the verdict tail is one.
-      std::optional<std::vector<std::size_t>> bad_path;
-      if (options.explore_threads > 1) {
-        result.stats.threads_used = options.explore_threads;
-        detail::ParallelScanResult scan = detail::parallel_safety_scan(
-            sg, cache.labels, *m, live, budget, options.explore_threads);
-        result.stats.worker_states = std::move(scan.worker_states);
-        result.stats.worker_steals = std::move(scan.worker_steals);
-        result.product_states = result.stats.product_states = scan.product_states;
-        result.stats.search_seconds = elapsed(t_search);
-        if (!is_complete(scan.outcome)) {
-          give_up(scan.outcome, "the closed-prefix reachability scan");
-          return result;
+      FlatInterner<std::uint64_t, IntHash> pids;
+      std::vector<std::int64_t> parent;  // per pid: BFS predecessor, -1 at the root
+      std::deque<std::uint32_t> queue;
+      auto intern = [&](std::size_t n, omega::State q, std::int64_t par) {
+        auto [idx, inserted] = pids.intern(pack(n, q));
+        if (inserted) {
+          budget.require(pids.size() - 1);
+          parent.push_back(par);
+          queue.push_back(static_cast<std::uint32_t>(idx));
         }
-        bad_path = std::move(scan.bad_path);
-      } else {
-        FlatInterner<std::uint64_t, IntHash> pids;
-        std::vector<std::int64_t> parent;  // per pid: BFS predecessor, -1 at the root
-        std::deque<std::uint32_t> queue;
-        auto intern = [&](std::size_t n, omega::State q, std::int64_t par) {
-          auto [idx, inserted] = pids.intern(pack(n, q));
-          if (inserted) {
-            budget.require(pids.size() - 1);
-            parent.push_back(par);
-            queue.push_back(static_cast<std::uint32_t>(idx));
+      };
+      std::optional<std::uint32_t> bad;
+      try {
+        intern(0, m->initial(), -1);
+        while (!queue.empty()) {
+          const std::uint32_t p = queue.front();
+          queue.pop_front();
+          const std::uint64_t key = pids[p];
+          const std::size_t n = node_of(key);
+          const omega::State q = aut_of(key);
+          if (!live[q]) {
+            bad = p;  // dead states are closed under successors; stop here
+            break;
           }
-        };
-        std::optional<std::uint32_t> bad;
-        try {
-          intern(0, m->initial(), -1);
-          while (!queue.empty()) {
-            const std::uint32_t p = queue.front();
-            queue.pop_front();
-            const std::uint64_t key = pids[p];
-            const std::size_t n = node_of(key);
-            const omega::State q = aut_of(key);
-            if (!live[q]) {
-              bad = p;  // dead states are closed under successors; stop here
-              break;
-            }
-            const omega::State q2 = m->next(q, cache.labels[n]);
-            for (auto [target, t] : sg.edges[n]) {
-              (void)t;
-              intern(target, q2, static_cast<std::int64_t>(p));
-            }
+          const omega::State q2 = m->next(q, cache.labels[n]);
+          for (auto [target, t] : sg.edges[n]) {
+            (void)t;
+            intern(target, q2, static_cast<std::int64_t>(p));
           }
-        } catch (const BudgetExhausted& e) {
-          result.product_states = result.stats.product_states = pids.size();
-          result.stats.search_seconds = elapsed(t_search);
-          give_up(e.outcome(), "the closed-prefix reachability scan");
-          return result;
         }
+      } catch (const BudgetExhausted& e) {
         result.product_states = result.stats.product_states = pids.size();
         result.stats.search_seconds = elapsed(t_search);
-        if (bad) {
-          std::vector<std::size_t> path_nodes;
-          for (std::int64_t p = static_cast<std::int64_t>(*bad); p >= 0; p = parent[p])
-            path_nodes.push_back(node_of(pids[static_cast<std::size_t>(p)]));
-          std::reverse(path_nodes.begin(), path_nodes.end());
-          bad_path = std::move(path_nodes);
-        }
+        give_up(e.outcome(), "the closed-prefix reachability scan");
+        return result;
       }
+      result.product_states = result.stats.product_states = pids.size();
+      result.stats.search_seconds = elapsed(t_search);
       if (diagnostics)
         diagnostics->emit(
             "MPH-V002", subject,
@@ -561,7 +547,7 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
                 std::to_string(result.stats.product_states) + " of at most " +
                 std::to_string(result.stats.product_bound) +
                 " states (closed-prefix reachability; no ω-product)");
-      if (!bad_path) {
+      if (!bad) {
         result.holds = true;
         return result;
       }
@@ -570,7 +556,10 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
       // computation (every node has a successor; deadlocks stutter). Any
       // extension of a bad prefix violates a closed property, and by machine
       // closure some *fair* computation shares this prefix.
-      const std::vector<std::size_t>& path_nodes = *bad_path;
+      std::vector<std::size_t> path_nodes;
+      for (std::int64_t p = static_cast<std::int64_t>(*bad); p >= 0; p = parent[p])
+        path_nodes.push_back(node_of(pids[static_cast<std::size_t>(p)]));
+      std::reverse(path_nodes.begin(), path_nodes.end());
       Counterexample cex;
       for (std::size_t n : path_nodes) cex.prefix.push_back(sg.nodes[n].valuation);
       std::vector<std::int64_t> seen_at(sg.nodes.size(), -1);
@@ -701,41 +690,20 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
     req.erase(std::unique(req.begin(), req.end()), req.end());
     result.stats.on_the_fly = true;
     result.stats.engine = dual ? CheckEngine::GuaranteeDual : CheckEngine::NestedDfs;
-    // Lasso as state-graph node paths, shared by the sequential nested DFS
-    // and multicore CNDFS so the verdict tail is one.
-    std::optional<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>> lasso;
-    if (options.explore_threads > 1) {
-      result.stats.threads_used = options.explore_threads;
-      detail::CndfsResult r = detail::cndfs(sg, cache.labels, fair_marks, fair.mark_count,
-                                            neg, req, budget, options.explore_threads);
-      result.stats.worker_states = std::move(r.worker_states);
-      result.product_states = result.stats.product_states = r.product_states;
-      result.stats.search_seconds = elapsed(t_search);
-      if (!is_complete(r.outcome)) {
-        emit_product_note();
-        give_up(r.outcome, "the nested-DFS product search");
-        return result;
-      }
-      lasso = std::move(r.lasso);
-    } else {
-      OnTheFlyEngine engine(sg, cache.labels, fair_marks, fair.mark_count, neg,
-                            std::move(req), budget);
-      try {
-        if (auto cells = engine.run()) {
-          lasso.emplace();
-          for (auto cell : cells->first) lasso->first.push_back(engine.node_of_cell(cell));
-          for (auto cell : cells->second) lasso->second.push_back(engine.node_of_cell(cell));
-        }
-      } catch (const BudgetExhausted& e) {
-        result.product_states = result.stats.product_states = engine.product_states();
-        result.stats.search_seconds = elapsed(t_search);
-        emit_product_note();
-        give_up(e.outcome(), "the nested-DFS product search");
-        return result;
-      }
+    OnTheFlyEngine engine(sg, cache.labels, fair_marks, fair.mark_count, neg,
+                          std::move(req), budget);
+    decltype(engine.run()) lasso;
+    try {
+      lasso = engine.run();
+    } catch (const BudgetExhausted& e) {
       result.product_states = result.stats.product_states = engine.product_states();
       result.stats.search_seconds = elapsed(t_search);
+      emit_product_note();
+      give_up(e.outcome(), "the nested-DFS product search");
+      return result;
     }
+    result.product_states = result.stats.product_states = engine.product_states();
+    result.stats.search_seconds = elapsed(t_search);
     emit_product_note();
     if (!lasso) {
       result.holds = true;
@@ -749,8 +717,10 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
           "fair lasso through " + std::to_string(lasso->second.size()) + " product state(s)";
     }
     Counterexample cex;
-    for (std::size_t n : lasso->first) cex.prefix.push_back(sg.nodes[n].valuation);
-    for (std::size_t n : lasso->second) cex.loop.push_back(sg.nodes[n].valuation);
+    for (auto cell : lasso->first)
+      cex.prefix.push_back(sg.nodes[engine.node_of_cell(cell)].valuation);
+    for (auto cell : lasso->second)
+      cex.loop.push_back(sg.nodes[engine.node_of_cell(cell)].valuation);
     result.counterexample = std::move(cex);
     return result;
   }
@@ -929,14 +899,6 @@ std::vector<std::string> validated_atoms(const ltl::Formula& spec, const AtomMap
 }  // namespace
 
 CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
-                  std::size_t max_states, analysis::DiagnosticEngine* diagnostics) {
-  CheckOptions options;
-  options.max_states = max_states;
-  options.diagnostics = diagnostics;
-  return check(system, spec, atoms, options);
-}
-
-CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
                   const CheckOptions& options) {
   return std::move(check_all(system, {spec}, atoms, options).front());
 }
@@ -974,15 +936,15 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     if (n_resolved == specs.size()) return results;
   }
 
-  // Effective budget: options.budget, with the deprecated max_states alias
-  // seeding the state cap when the budget itself carries none.
+  // Effective budget: options.budget, with kDefaultStateCap when the budget
+  // itself carries no state cap.
   Budget budget = options.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(options.max_states);
+  if (!budget.has_state_cap()) budget.with_state_cap(kDefaultStateCap);
 
   // Shared phases: one exploration, one fairness frame, one label cache per
   // distinct atom vocabulary.
   auto t_explore = Clock::now();
-  ExploreResult ex = explore(system, budget, options.explore_threads);
+  ExploreResult ex = explore(system, budget);
   const double explore_seconds = elapsed(t_explore);
   if (!is_complete(ex.outcome)) {
     // The shared exploration ran out of budget: every spec in the batch not

@@ -87,13 +87,6 @@ struct CheckStats {
   ClassSource class_source = ClassSource::None;  ///< provenance of the routing class
   std::size_t normalize_steps = 0;  ///< rewrite steps spent by ΔΓ-normalization
   Outcome outcome = Outcome::Complete;  ///< how the check ended (docs/BUDGETS.md)
-  /// Workers the emptiness search actually ran on (docs/PARALLEL.md): equals
-  /// CheckOptions::explore_threads when the verdict came from a multicore
-  /// engine (CNDFS / parallel prefix scan), 1 when the engine stayed
-  /// sequential (SCC, or explore_threads <= 1).
-  unsigned threads_used = 1;
-  std::vector<std::size_t> worker_states;  ///< per-worker product states visited
-  std::vector<std::size_t> worker_steals;  ///< per-worker frontier steals (scan only)
   double explore_seconds = 0.0;       ///< state-graph exploration
   double label_seconds = 0.0;         ///< atom labelling of the state graph
   double compile_seconds = 0.0;       ///< ¬spec compilation
@@ -116,45 +109,21 @@ struct CheckResult {
   CheckStats stats;
 };
 
-/// Checks that every fair computation satisfies `spec`. The atoms of `spec`
-/// must all be present in `atoms`. The negated specification is compiled
-/// deterministically when it lies in the hierarchy fragment; otherwise, for
-/// future-only formulas, a nondeterministic Büchi tableau is used. Throws if
-/// neither route applies.
-///
-/// When `diagnostics` is given, the checker reports through it: MPH-V001
-/// (tableau fallback), MPH-V002 (product size), MPH-V003 (violation found),
-/// MPH-V004 (budget exhausted, verdict unknown).
-///
-/// Running past `max_states` no longer throws: the result comes back with
-/// `outcome == Outcome::BudgetStates` (see CheckResult::outcome).
-CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
-                  std::size_t max_states = 200000,
-                  analysis::DiagnosticEngine* diagnostics = nullptr);
+/// State cap applied to a check when its budget carries none: it bounds the
+/// exploration, each ¬spec tableau and each product construction
+/// individually (docs/BUDGETS.md).
+inline constexpr std::size_t kDefaultStateCap = 200000;
 
 struct CheckOptions {
   /// Resource budget governing the exploration, each ¬spec tableau, and each
   /// product construction (the state cap bounds each of those
-  /// individually). When the budget carries no state cap of its own, the
-  /// deprecated `max_states` alias below seeds it.
+  /// individually). A budget without a state cap of its own gets
+  /// kDefaultStateCap.
   Budget budget;
-  /// Deprecated alias for `budget.with_state_cap(...)`: honored only when
-  /// `budget` has no state cap. Kept so existing callers keep compiling.
-  std::size_t max_states = 200000;
   /// Worker threads checking independent specs. 1 (the default) keeps the
   /// run fully sequential and deterministic; with more threads, results and
   /// merged diagnostics still come back in spec order.
   unsigned threads = 1;
-  /// Worker threads *inside* one emptiness search (docs/PARALLEL.md),
-  /// orthogonal to the per-spec `threads` above. With explore_threads > 1
-  /// the state-graph exploration fans out over a work-stealing frontier,
-  /// safety-prefix scans run the parallel reachability scan, and
-  /// generalized-Büchi products run CNDFS multicore nested DFS; the SCC
-  /// engine stays sequential. Verdicts, counterexample validity, and
-  /// budget-exhausted diagnostics are independent of this setting (a
-  /// violating run under a biting state cap may report a different — equally
-  /// valid — witness).
-  unsigned explore_threads = 1;
   /// Skip the on-the-fly nested-DFS even when the acceptance is
   /// generalized-Büchi-shaped and use the SCC good-loop engine instead.
   /// Both engines must agree on every input; differential fuzzing
@@ -193,10 +162,20 @@ struct CheckOptions {
 std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::Formula>& specs,
                                    const AtomMap& atoms, const CheckOptions& options = {});
 
-/// Single-spec variant taking the full options (budget, engine selection,
-/// diagnostics). Equivalent to check_all with a one-element batch, so
-/// Outcome reporting is identical between the two entry points.
+/// Checks that every fair computation satisfies `spec`. The atoms of `spec`
+/// must all be present in `atoms`. The negated specification is compiled
+/// deterministically when it lies in the hierarchy fragment; otherwise, for
+/// future-only formulas, a nondeterministic Büchi tableau is used. Throws if
+/// neither route applies.
+///
+/// When `options.diagnostics` is set, the checker reports through it:
+/// MPH-V001 (tableau fallback), MPH-V002 (product size), MPH-V003 (violation
+/// found), MPH-V004 (budget exhausted, verdict unknown).
+///
+/// Equivalent to check_all with a one-element batch, so Outcome reporting is
+/// identical between the two entry points: running out of budget never
+/// throws, the result comes back with a non-Complete `outcome`.
 CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
-                  const CheckOptions& options);
+                  const CheckOptions& options = {});
 
 }  // namespace mph::fts

@@ -45,7 +45,7 @@ Program producer_consumer(int capacity);
 Program dining_philosophers(std::size_t n);
 
 /// Alias of dining_philosophers: the parameterized "dining-N" scaling family
-/// used by mph-lint and the parallel benchmarks (docs/PARALLEL.md).
+/// used by mph-lint, mph-serve and the benchmarks.
 Program dining(std::size_t n);
 
 /// Chang–Roberts leader election on a unidirectional ring of `n` nodes

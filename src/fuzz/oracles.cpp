@@ -39,6 +39,15 @@ std::optional<CheckOutcome> budget_gate(const Budget& budget) {
 /// monoid can reach |Q|^|Q| elements, far past any useful iteration budget.
 constexpr std::size_t kOracleMonoidCap = 512;
 
+/// Check options every model-checking leg starts from: the iteration's
+/// budget, capped at 20000 states when it carries no state cap of its own.
+fts::CheckOptions oracle_check_options(const Budget& budget) {
+  fts::CheckOptions options;
+  options.budget = budget;
+  if (!options.budget.has_state_cap()) options.budget.with_state_cap(20000);
+  return options;
+}
+
 // ------------------------------------------------------------------------
 // dfa-product-laws: boolean algebra of DFA languages, decided three ways —
 // the product construction, the decision procedures built on it, and plain
@@ -373,8 +382,9 @@ CheckOutcome check_ltl_eval(const FuzzCase& c, const Budget& budget) {
 
 // ------------------------------------------------------------------------
 // fts-engines: the checker's on-the-fly nested-DFS engine against the SCC
-// good-loop engine on the same system and spec, with counterexamples
-// replayed under the independent lasso evaluator.
+// good-loop engine and the class-dispatched route on the same system and
+// spec, with every counterexample replayed under the independent lasso
+// evaluator.
 
 FuzzCase gen_fts_engines(Rng& rng) {
   FuzzCase c;
@@ -401,24 +411,32 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
   const fts::Fts sys = c.system->build();
   const fts::AtomMap atoms = c.system->atoms();
   const ltl::Formula spec = ltl::parse_formula(c.formulas[0]);
-  fts::CheckOptions otf;
-  otf.max_states = 20000;  // seeds the budget's state cap unless it has one
-  otf.budget = budget;
+  const fts::CheckOptions otf = oracle_check_options(budget);
   fts::CheckOptions scc = otf;
   scc.force_scc = true;
+  fts::CheckOptions disp = otf;
+  disp.class_dispatch = true;
   const auto r_otf = fts::check_all(sys, {spec}, atoms, otf)[0];
   const auto r_scc = fts::check_all(sys, {spec}, atoms, scc)[0];
+  const auto r_disp = fts::check_all(sys, {spec}, atoms, disp)[0];
   // Outcomes come first: under a deadline one engine can complete while the
   // other runs out, so differing verdicts with a non-Complete outcome are
   // budget exhaustion, not a discrepancy.
-  if (!is_complete(r_otf.outcome) || !is_complete(r_scc.outcome))
-    return CheckOutcome::exhausted(
-        "engine budget exhausted (" +
-        std::string(to_string(worst(r_otf.outcome, r_scc.outcome))) + ")");
+  const Outcome agg = worst(worst(r_otf.outcome, r_scc.outcome), r_disp.outcome);
+  if (!is_complete(agg))
+    return CheckOutcome::exhausted("engine budget exhausted (" +
+                                   std::string(to_string(agg)) + ")");
+  auto verdict = [](const fts::CheckResult& r) {
+    return std::string(r.holds ? "holds" : "violated");
+  };
   if (r_otf.holds != r_scc.holds)
     return CheckOutcome::fail("nested-DFS and SCC engines disagree on '" + c.formulas[0] +
-                              "' (" + (r_otf.holds ? "holds" : "violated") + " vs " +
-                              (r_scc.holds ? "holds" : "violated") + ")");
+                              "' (" + verdict(r_otf) + " vs " + verdict(r_scc) + ")");
+  // The class-dispatched route (safety prefix, guarantee dual, normalization
+  // rescue) must reach the same verdict as the general engines.
+  if (r_disp.holds != r_otf.holds)
+    return CheckOutcome::fail("class-dispatched route disagrees on '" + c.formulas[0] +
+                              "' (" + verdict(r_otf) + " vs " + verdict(r_disp) + ")");
   const auto single = fts::check(sys, spec, atoms, otf);
   if (!is_complete(single.outcome))
     return CheckOutcome::exhausted("engine budget exhausted (" +
@@ -436,89 +454,7 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
         s |= lang::Symbol{1} << i;
     return s;
   };
-  for (const auto* r : {&r_otf, &r_scc}) {
-    if (r->holds) continue;
-    MPH_ASSERT(r->counterexample.has_value());
-    Lasso l;
-    for (const auto& v : r->counterexample->prefix) l.prefix.push_back(to_symbol(v));
-    for (const auto& v : r->counterexample->loop) l.loop.push_back(to_symbol(v));
-    if (l.loop.empty() || ltl::evaluates(spec, l, sigma))
-      return CheckOutcome::fail("counterexample for '" + c.formulas[0] +
-                                "' does not falsify the spec under the lasso evaluator");
-  }
-  return CheckOutcome::pass();
-}
-
-// ------------------------------------------------------------------------
-// fts-engines-parallel: the multicore engines (docs/PARALLEL.md) against
-// their sequential twins on the same system and spec — explore_threads=1
-// nested-DFS vs explore_threads=3 CNDFS vs the (sequential) SCC engine fed
-// by the parallel exploration, plus the class-dispatched route, with every
-// counterexample replayed under the independent lasso evaluator.
-
-FuzzCase gen_fts_engines_parallel(Rng& rng) {
-  FuzzCase c = gen_fts_engines(rng);
-  c.oracle = "fts-engines-parallel";
-  return c;
-}
-
-CheckOutcome check_fts_engines_parallel(const FuzzCase& c, const Budget& budget) {
-  if (!c.system || c.formulas.empty()) return CheckOutcome::skip("needs a system and a spec");
-  const fts::Fts sys = c.system->build();
-  const fts::AtomMap atoms = c.system->atoms();
-  const ltl::Formula spec = ltl::parse_formula(c.formulas[0]);
-  fts::CheckOptions seq;
-  seq.max_states = 20000;
-  seq.budget = budget;
-  fts::CheckOptions par = seq;
-  par.explore_threads = 3;
-  fts::CheckOptions scc = par;
-  scc.force_scc = true;
-  fts::CheckOptions disp = par;
-  disp.class_dispatch = true;
-  const auto r_seq = fts::check(sys, spec, atoms, seq);
-  const auto r_par = fts::check(sys, spec, atoms, par);
-  const auto r_scc = fts::check(sys, spec, atoms, scc);
-  const auto r_disp = fts::check(sys, spec, atoms, disp);
-  // Outcomes come first: under a deadline one run can complete while another
-  // runs out, so differing verdicts with a non-Complete outcome are budget
-  // exhaustion, not a discrepancy.
-  const Outcome agg = worst(worst(r_seq.outcome, r_par.outcome),
-                            worst(r_scc.outcome, r_disp.outcome));
-  if (!is_complete(agg))
-    return CheckOutcome::exhausted("engine budget exhausted (" +
-                                   std::string(to_string(agg)) + ")");
-  auto verdict = [](const fts::CheckResult& r) {
-    return std::string(r.holds ? "holds" : "violated");
-  };
-  if (r_par.holds != r_seq.holds)
-    return CheckOutcome::fail("explore_threads 1 vs 3 disagree on '" + c.formulas[0] +
-                              "' (" + verdict(r_seq) + " vs " + verdict(r_par) + ")");
-  if (r_scc.holds != r_seq.holds)
-    return CheckOutcome::fail("parallel CNDFS and SCC disagree on '" + c.formulas[0] +
-                              "' (" + verdict(r_par) + " vs " + verdict(r_scc) + ")");
-  if (r_disp.holds != r_seq.holds)
-    return CheckOutcome::fail("class-dispatched parallel engine disagrees on '" +
-                              c.formulas[0] + "' (" + verdict(r_seq) + " vs " +
-                              verdict(r_disp) + ")");
-  // A holding verdict needs the full product closure on every schedule, so
-  // the pair count is thread-count independent (docs/PARALLEL.md).
-  if (r_seq.holds && r_par.stats.engine == r_seq.stats.engine &&
-      r_par.stats.product_states != r_seq.stats.product_states)
-    return CheckOutcome::fail("product size differs across thread counts on holding '" +
-                              c.formulas[0] + "' (" +
-                              std::to_string(r_seq.stats.product_states) + " vs " +
-                              std::to_string(r_par.stats.product_states) + ")");
-  const auto atom_names = spec.atoms();
-  const lang::Alphabet sigma = lang::Alphabet::of_props(atom_names);
-  auto to_symbol = [&](const fts::Valuation& v) {
-    lang::Symbol s = 0;
-    for (std::size_t i = 0; i < atom_names.size(); ++i)
-      if (atoms.at(atom_names[i])(sys, v, fts::StateGraph::kNone))
-        s |= lang::Symbol{1} << i;
-    return s;
-  };
-  for (const auto* r : {&r_seq, &r_par, &r_scc, &r_disp}) {
+  for (const auto* r : {&r_otf, &r_scc, &r_disp}) {
     if (r->holds) continue;
     MPH_ASSERT(r->counterexample.has_value());
     Lasso l;
@@ -575,12 +511,10 @@ CheckOutcome check_vacuity_antecedent(const FuzzCase& c, const Budget& budget) {
   const fts::Fts sys = c.system->build();
   const fts::AtomMap atoms = c.system->atoms();
   const ltl::Formula f = ltl::parse_formula(c.formulas[0]);
-  fts::CheckOptions base;
-  base.max_states = 20000;
-  base.budget = budget;
+  const fts::CheckOptions base = oracle_check_options(budget);
 
   // Path 1: the fast path itself — one exploration, pointwise labeling.
-  const auto fast = analysis::antecedent_exercised(sys, f, atoms, base.budget);
+  const auto fast = analysis::antecedent_exercised(sys, f, atoms, budget);
   if (!fast) return CheckOutcome::skip("shrunk out of the □(p→q) shape");
   if (!fast->complete())
     return CheckOutcome::exhausted("exploration budget exhausted (" +
@@ -709,9 +643,7 @@ CheckOutcome check_normalize_agreement(const FuzzCase& c, const Budget& budget) 
   // normal form itself must all agree.
   const fts::Fts sys = c.system->build();
   const fts::AtomMap atoms = c.system->atoms();
-  fts::CheckOptions raw;
-  raw.max_states = 20000;
-  raw.budget = budget;
+  fts::CheckOptions raw = oracle_check_options(budget);
   raw.class_dispatch = false;
   raw.normalize_steps = 0;
   fts::CheckOptions dispatched = raw;
@@ -981,9 +913,7 @@ CheckOutcome check_absint_soundness(const FuzzCase& c, const Budget& budget) {
   if (!proved->holds)
     return CheckOutcome::fail("static prover returned a non-holds certificate for '" +
                               c.formulas[0] + "'");
-  fts::CheckOptions otf;
-  otf.max_states = 20000;  // seeds the budget's state cap unless it has one
-  otf.budget = budget;
+  const fts::CheckOptions otf = oracle_check_options(budget);
   const auto r_otf = fts::check_all(sys, {spec}, atoms, otf)[0];
   if (!is_complete(r_otf.outcome))
     return CheckOutcome::exhausted("engine budget exhausted (" +
@@ -1020,12 +950,9 @@ std::vector<Oracle>& mutable_registry() {
        "direct LTL lasso evaluation vs the compiled deterministic automaton",
        gen_ltl_eval, check_ltl_eval},
       {"fts-engines",
-       "model checker: nested-DFS vs SCC engine, with counterexample replay",
+       "model checker: nested-DFS vs SCC engine vs class dispatch, with "
+       "counterexample replay",
        gen_fts_engines, check_fts_engines},
-      {"fts-engines-parallel",
-       "multicore engines: sequential nested-DFS vs CNDFS vs SCC vs class dispatch, "
-       "with counterexample replay",
-       gen_fts_engines_parallel, check_fts_engines_parallel},
       {"vacuity-antecedent",
        "MPH-Y002 antecedent labeling vs safety-prefix and ω-product checks of G ¬p",
        gen_vacuity_antecedent, check_vacuity_antecedent},

@@ -1,7 +1,8 @@
 // The on-the-fly engine internals, observed through CheckStats and the batch
-// API: engine selection (nested DFS vs SCC), early exit strictly below the
-// full product bound, NBA-fallback traces that replay, and check_all
-// agreement with sequential check — sequentially and on a worker pool.
+// API: engine selection (nested DFS vs SCC vs the class shortcuts), early
+// exit strictly below the full product bound, counterexamples that replay,
+// budget exhaustion, and check_all agreement with sequential check —
+// sequentially and on a worker pool.
 #include <gtest/gtest.h>
 
 #include "src/fts/checker.hpp"
@@ -91,6 +92,53 @@ TEST(EngineSelection, NormalizationRoutesNonSyntacticShapesToShortcuts) {
   EXPECT_EQ(r.holds, unrouted.holds);
 }
 
+Program model_by_name(const std::string& name) {
+  if (name == "peterson") return programs::peterson();
+  if (name == "trivial-mutex") return programs::trivial_mutex();
+  if (name == "ring-4") return programs::ring_leader(4);
+  if (name == "ring-5") return programs::ring_leader(5);
+  if (name == "dining-3") return programs::dining_philosophers(3);
+  if (name == "dining-4") return programs::dining_philosophers(4);
+  throw std::runtime_error("unknown test model: " + name);
+}
+
+struct Case {
+  const char* model;
+  const char* spec;
+  bool class_dispatch;
+};
+
+TEST(EngineSelection, RoutesOnDiningRingAndMutexModels) {
+  struct Routed {
+    Case c;
+    CheckEngine engine;
+    bool holds;
+  };
+  const Routed cases[] = {
+      {{"dining-4", "G !(eat1 & eat2)", false}, CheckEngine::NestedDfs, true},
+      {{"dining-4", "G !(eat1 & eat2)", true}, CheckEngine::SafetyPrefix, true},
+      {{"dining-3", "G !deadlock", false}, CheckEngine::NestedDfs, false},
+      {{"dining-3", "G !deadlock", true}, CheckEngine::SafetyPrefix, false},
+      {{"dining-3", "G(hungry1 -> F eat1)", false}, CheckEngine::Scc, false},
+      {{"ring-5", "F elected", true}, CheckEngine::GuaranteeDual, true},
+      {{"ring-5", "G(elected -> maxleader)", true}, CheckEngine::SafetyPrefix, true},
+      {{"ring-4", "G !quiet", false}, CheckEngine::NestedDfs, false},
+      {{"trivial-mutex", "F G (t1 & t2)", false}, CheckEngine::NestedDfs, true},
+      {{"dining-3", "(F eat1) U deadlock", false}, CheckEngine::NestedDfs, false},  // NBA
+      {{"peterson", "G(t1 -> F c1)", false}, CheckEngine::Scc, true},
+  };
+  for (const Routed& r : cases) {
+    const Program prog = model_by_name(r.c.model);
+    CheckOptions opts;
+    opts.class_dispatch = r.c.class_dispatch;
+    const CheckResult res = check(prog.system, parse_formula(r.c.spec), prog.atoms, opts);
+    EXPECT_EQ(res.outcome, Outcome::Complete) << r.c.model << " ⊨ " << r.c.spec;
+    EXPECT_EQ(res.stats.engine, r.engine) << r.c.model << " ⊨ " << r.c.spec;
+    EXPECT_EQ(res.holds, r.holds) << r.c.model << " ⊨ " << r.c.spec;
+    EXPECT_EQ(res.counterexample.has_value(), !r.holds) << r.c.model << " ⊨ " << r.c.spec;
+  }
+}
+
 TEST(EarlyExit, ViolationStopsStrictlyBelowTheProductBound) {
   // Seeded violation: the naive dining protocol deadlocks. The nested DFS
   // must report it without interning the whole state-graph × automaton
@@ -115,6 +163,41 @@ TEST(EarlyExit, NbaFallbackViolationReplays) {
   EXPECT_TRUE(result.stats.on_the_fly);
   EXPECT_LT(result.stats.product_states, result.stats.product_bound);
   EXPECT_TRUE(replay_violates(prog, spec, result));
+}
+
+TEST(EarlyExit, CounterexamplesReplayOnDiningAndRing) {
+  const Case cases[] = {
+      {"dining-3", "G !deadlock", false},           // nested-DFS lasso
+      {"dining-3", "G !deadlock", true},            // safety-prefix bad prefix
+      {"dining-3", "G(hungry1 -> F eat1)", false},  // SCC good loop
+      {"ring-4", "G !quiet", false},                // nested DFS on the ring
+      {"peterson", "G F c1", false},                // nested DFS, fairness marks
+      {"dining-3", "(F eat1) U deadlock", false},   // nested DFS over the NBA tableau
+  };
+  for (const Case& c : cases) {
+    const Program prog = model_by_name(c.model);
+    const ltl::Formula spec = parse_formula(c.spec);
+    CheckOptions opts;
+    opts.class_dispatch = c.class_dispatch;
+    EXPECT_TRUE(replay_violates(prog, spec, check(prog.system, spec, prog.atoms, opts)))
+        << c.model << " ⊨ " << c.spec;
+  }
+}
+
+TEST(RingLeader, PropertiesUnderBothEngines) {
+  const Program prog = programs::ring_leader(5);
+  for (bool dispatch : {false, true}) {
+    CheckOptions opts;
+    opts.class_dispatch = dispatch;
+    // Chang–Roberts: some leader is elected under weak fairness, and only
+    // the maximal id can win.
+    EXPECT_TRUE(check(prog.system, parse_formula("F elected"), prog.atoms, opts).holds);
+    EXPECT_TRUE(
+        check(prog.system, parse_formula("G(elected -> maxleader)"), prog.atoms, opts).holds);
+    EXPECT_TRUE(check(prog.system, parse_formula("F maxleader"), prog.atoms, opts).holds);
+    // The channels do drain.
+    EXPECT_FALSE(check(prog.system, parse_formula("G !quiet"), prog.atoms, opts).holds);
+  }
 }
 
 TEST(EarlyExit, HoldingSpecExploresWithoutCounterexample) {
@@ -207,7 +290,7 @@ TEST(CheckAll, EmptyBatchAndErrors) {
   std::vector<ltl::Formula> tiny = {parse_formula("G !(c1 & c2)"),
                                     parse_formula("G !c1")};
   CheckOptions capped = threaded;
-  capped.max_states = 3;  // exploration alone must blow the cap (deprecated alias)
+  capped.budget.with_state_cap(3);  // exploration alone must blow the cap
   auto exhausted = check_all(prog.system, tiny, prog.atoms, capped);
   ASSERT_EQ(exhausted.size(), tiny.size());
   for (const auto& r : exhausted) {
@@ -231,6 +314,49 @@ TEST(Budgets, ZeroStateBudgetReturnsImmediately) {
   EXPECT_FALSE(r.counterexample.has_value());
   EXPECT_EQ(r.stats.state_graph_nodes, 0u);
   EXPECT_TRUE(diags.has_code("MPH-V004"));
+}
+
+// Exploration exhaustion ends the whole batch before any product is built:
+// every spec gets the unknown verdict and one batch-level MPH-V004 names
+// exactly the cap's state count.
+TEST(Budgets, ExploreExhaustionReportsOneBatchDiagnostic) {
+  const Program prog = programs::dining_philosophers(4);
+  analysis::DiagnosticEngine diags;
+  CheckOptions opts;
+  opts.budget.with_state_cap(60);
+  opts.diagnostics = &diags;
+  CheckResult r = check(prog.system, parse_formula("G !(eat1 & eat2)"), prog.atoms, opts);
+  EXPECT_EQ(r.outcome, Outcome::BudgetStates);
+  EXPECT_FALSE(r.holds);
+  EXPECT_FALSE(r.counterexample.has_value());
+  EXPECT_EQ(r.stats.state_graph_nodes, 60u);
+  ASSERT_EQ(diags.size(), 1u) << diags.to_text();
+  EXPECT_EQ(diags.diagnostics()[0].code, "MPH-V004");
+  EXPECT_EQ(diags.diagnostics()[0].subject, "state-graph exploration");
+  EXPECT_NE(diags.diagnostics()[0].message.find("after 60 system state(s)"),
+            std::string::npos)
+      << diags.to_text();
+}
+
+// Product exhaustion in the nested DFS: 'F G (t1 & t2)' holds on
+// trivial-mutex with a 7-pair product over a 5-node graph, so a cap of 6
+// completes the exploration but exhausts the product search — at exactly
+// cap + 1 interned pairs.
+TEST(Budgets, ProductExhaustionStopsAtCapPlusOne) {
+  const Program prog = programs::trivial_mutex();
+  analysis::DiagnosticEngine diags;
+  CheckOptions opts;
+  opts.budget.with_state_cap(6);
+  opts.diagnostics = &diags;
+  CheckResult r = check(prog.system, parse_formula("F G (t1 & t2)"), prog.atoms, opts);
+  EXPECT_EQ(r.outcome, Outcome::BudgetStates);
+  EXPECT_FALSE(r.holds);
+  EXPECT_FALSE(r.counterexample.has_value());
+  EXPECT_EQ(r.stats.engine, CheckEngine::NestedDfs);
+  EXPECT_EQ(r.stats.product_states, 7u);
+  EXPECT_TRUE(diags.has_code("MPH-V004")) << diags.to_text();
+  EXPECT_NE(diags.to_text().find("after 7 product state(s)"), std::string::npos)
+      << diags.to_text();
 }
 
 TEST(Budgets, PastDeadlineReportsBudgetDeadline) {

@@ -36,6 +36,17 @@ TEST(Fts, BasicConstructionAndExploration) {
   EXPECT_TRUE(terminal_found);
 }
 
+TEST(Fts, ExploreStopsAtExactlyTheStateCap) {
+  const Program prog = programs::dining_philosophers(4);
+  const std::size_t cap = 40;
+  ExploreResult res = explore(prog.system, Budget().with_state_cap(cap));
+  EXPECT_EQ(res.outcome, Outcome::BudgetStates);
+  EXPECT_EQ(res.graph.nodes.size(), cap);
+  // Every discovered node carries its valuation (edge rows may be empty).
+  for (const auto& node : res.graph.nodes)
+    EXPECT_EQ(node.valuation.size(), prog.system.var_count());
+}
+
 TEST(Fts, DomainViolationThrows) {
   Fts s;
   std::size_t x = s.add_var("x", 0, 1, 0);

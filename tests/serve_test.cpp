@@ -73,14 +73,18 @@ TEST(ServeDigest, OptionsDigestKeysEngineRoutes) {
   fts::CheckOptions base;
   fts::CheckOptions scc = base;
   scc.force_scc = true;
-  fts::CheckOptions par = base;
-  par.explore_threads = 2;
   fts::CheckOptions dispatch = base;
   dispatch.class_dispatch = true;
+  fts::CheckOptions steps = base;
+  steps.normalize_steps = 0;
   EXPECT_NE(options_digest(base), options_digest(scc));
-  EXPECT_NE(options_digest(base), options_digest(par));
   EXPECT_NE(options_digest(base), options_digest(dispatch));
-  EXPECT_NE(options_digest(scc), options_digest(par));
+  EXPECT_NE(options_digest(base), options_digest(steps));
+  EXPECT_NE(options_digest(scc), options_digest(dispatch));
+  // Worker threads select no engine route, so they share the default key.
+  fts::CheckOptions threaded = base;
+  threaded.threads = 4;
+  EXPECT_EQ(options_digest(base), options_digest(threaded));
 }
 
 // ------------------------------------------------------------- wire JSON
@@ -132,19 +136,36 @@ TEST(ServeServer, EngineOptionVariantsAreKeyedSeparately) {
       R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"]})js"));
   const Json scc = req(server.handle_line(
       R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"force_scc":true})js"));
-  const Json par = req(server.handle_line(
-      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"explore_threads":2})js"));
+  const Json dispatch = req(server.handle_line(
+      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"class_dispatch":true})js"));
   EXPECT_EQ(field(*result0(scc), "cache"), "miss")
       << "force_scc must not be served from the default route's entry";
-  EXPECT_EQ(field(*result0(par), "cache"), "miss")
-      << "explore_threads must not be served from the default route's entry";
+  EXPECT_EQ(field(*result0(dispatch), "cache"), "miss")
+      << "class_dispatch must not be served from the default route's entry";
+  EXPECT_EQ(field(*result0(dispatch), "engine"), "safety-prefix");
   // Three distinct cache keys, one verdict.
   EXPECT_EQ(server.verdict_cache().size(), 3u);
   EXPECT_EQ(field(*result0(plain), "verdict"), "holds");
   EXPECT_EQ(field(*result0(scc), "verdict"), "holds");
-  EXPECT_EQ(field(*result0(par), "verdict"), "holds");
+  EXPECT_EQ(field(*result0(dispatch), "verdict"), "holds");
   EXPECT_NE(field(plain, "options_digest"), field(scc, "options_digest"));
-  EXPECT_NE(field(plain, "options_digest"), field(par, "options_digest"));
+  EXPECT_NE(field(plain, "options_digest"), field(dispatch, "options_digest"));
+}
+
+TEST(ServeServer, ExploreThreadsFieldIsIgnored) {
+  // explore_threads is not a check option: like any other unknown field it
+  // changes neither the route nor the cache key, so the default route's
+  // entry answers it.
+  Server server;
+  const Json plain = req(server.handle_line(
+      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"]})js"));
+  const Json threaded = req(server.handle_line(
+      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"explore_threads":2})js"));
+  ASSERT_TRUE(result0(plain) && result0(threaded));
+  EXPECT_EQ(field(*result0(threaded), "cache"), "hit");
+  EXPECT_EQ(field(*result0(threaded), "verdict"), "holds");
+  EXPECT_EQ(field(plain, "options_digest"), field(threaded, "options_digest"));
+  EXPECT_EQ(server.verdict_cache().size(), 1u);
 }
 
 TEST(ServeServer, DuplicateSpecsInOneBatchShareOneComputation) {
