@@ -9,7 +9,7 @@ response —
     structured errors without killing the daemon;
   * content-addressed caching: repeated specs hit, duplicate specs within
     one batch dedup onto a single computation, engine-option variants
-    (force_scc, class_dispatch) are keyed separately with agreeing
+    (class_dispatch, normalize_steps) are keyed separately with agreeing
     verdicts, and a model delta invalidates only its own digest;
   * budget_ms: 0 on an uncached spec yields a well-formed budget-deadline
     Unknown with MPH-V004, and the exhausted result is never cached;
@@ -46,9 +46,9 @@ REQUESTS = [
      "specs": [SAFETY, LIVENESS, SAFETY]},                    # in-batch duplicate
     {"op": "check", "id": 5, "model": "peterson", "specs": [SAFETY]},
     {"op": "check", "id": 6, "model": "peterson", "specs": [SAFETY],
-     "force_scc": True},                                      # separate cache key
-    {"op": "check", "id": 7, "model": "peterson", "specs": [SAFETY],
      "class_dispatch": True},                                 # separate cache key
+    {"op": "check", "id": 7, "model": "peterson", "specs": [SAFETY],
+     "normalize_steps": 0},                                   # separate cache key
     {"op": "check", "id": 8, "model": TOGGLE, "specs": ["F xhi", "G xlo"]},
     {"op": "check", "id": 9, "model": TOGGLE, "specs": ["F xhi"]},
     {"op": "check", "id": 10, "model": TOGGLE_DELTA, "specs": ["F xhi"]},
@@ -148,21 +148,22 @@ def main():
            and result_of(warm)["verdict"] == "holds",
            "repeated (model, spec) must hit the verdict cache", warm)
 
-    scc = by_id[6]
-    expect(result_of(scc)["cache"] == "miss",
-           "force_scc must be keyed separately from the default route", scc)
-    expect(result_of(scc)["verdict"] == "holds",
-           "force_scc verdict must agree", scc)
-    expect(result_of(scc)["engine"] != result_of(warm)["engine"],
-           "force_scc must actually change the engine", scc)
-    expect(scc["options_digest"] != warm["options_digest"],
-           "options digest must differ under force_scc", scc)
-
-    dispatch = by_id[7]
-    expect(result_of(dispatch)["cache"] == "miss"
-           and result_of(dispatch)["verdict"] == "holds",
-           "class_dispatch must be keyed separately with the same verdict",
+    dispatch = by_id[6]
+    expect(result_of(dispatch)["cache"] == "miss",
+           "class_dispatch must be keyed separately from the default route",
            dispatch)
+    expect(result_of(dispatch)["verdict"] == "holds",
+           "class_dispatch verdict must agree", dispatch)
+    expect(result_of(dispatch)["engine"] != result_of(warm)["engine"],
+           "class_dispatch must actually change the engine", dispatch)
+    expect(dispatch["options_digest"] != warm["options_digest"],
+           "options digest must differ under class_dispatch", dispatch)
+
+    steps = by_id[7]
+    expect(result_of(steps)["cache"] == "miss"
+           and result_of(steps)["verdict"] == "holds",
+           "normalize_steps must be keyed separately with the same verdict",
+           steps)
 
     # -- inline models: content addressing and deltas ----------------------
     inline = by_id[8]

@@ -24,7 +24,7 @@ def check_row(row, where, extra_keys=()):
     keys = {
         "model": str,
         "spec": str,
-        "on_the_fly": bool,
+        "engine": str,
         "nba_fallback": bool,
         "product_states": int,
         "product_bound": int,
@@ -60,7 +60,7 @@ def main():
     for i, row in enumerate(early):
         where = f"early_exit[{i}]"
         check_row(row, where, extra_keys=[("replay_violates", bool)])
-        require(row["on_the_fly"], f"{where}: engine was not on-the-fly")
+        require(row["engine"] == "SCC", f"{where}: engine was not the SCC engine")
         require(
             row["product_states"] < row["product_bound"],
             f"{where}: no early exit (product_states == product_bound)",

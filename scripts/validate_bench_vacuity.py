@@ -4,7 +4,7 @@
 Checks the documented schema and the claims the benchmark exists to pin:
 verdicts must agree between the class-dispatched and the full ω-product
 runs, the dispatched run must route safety work to the closed-prefix scan
-(safety_prefix >= 1, no nested-DFS/SCC checks on the safety-heavy family),
+(safety_prefix >= 1, no SCC checks on the safety-heavy family),
 and a non-quick run must show the >= 2x speedup from ISSUE acceptance.
 
 Usage: validate_bench_vacuity.py PATH
@@ -17,7 +17,6 @@ STAT_KEYS = {
     "mutants_checked",
     "safety_prefix",
     "guarantee_dual",
-    "nested_dfs",
     "scc",
     "constant",
     "unknown",
@@ -82,7 +81,7 @@ def main() -> None:
         d, f_ = m["dispatch"]["stats"], m["full"]["stats"]
         if d["safety_prefix"] < 1:
             fail(f"{name}: dispatched run never used the closed-prefix scan")
-        if d["nested_dfs"] or d["scc"]:
+        if d["scc"]:
             fail(f"{name}: dispatched run fell back to an ω-product engine")
         if f_["safety_prefix"]:
             fail(f"{name}: full run used the closed-prefix scan")

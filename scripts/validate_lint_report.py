@@ -28,8 +28,8 @@ SEVERITIES = {"error", "warning", "note"}
 CODE_RE = re.compile(r"^MPH-[A-Z]\d{3}$")
 VERDICTS = {"violated", "VACUOUS", "non-vacuous", "unknown"}
 OUTCOMES = {"complete", "budget-states", "budget-deadline", "cancelled"}
-ENGINES = {"constant", "safety-prefix", "guarantee-dual", "nested-DFS", "SCC",
-           "nested-DFS (NBA)", "SCC (NBA)", "skipped"}
+ENGINES = {"constant", "safety-prefix", "guarantee-dual", "SCC", "SCC (NBA)",
+           "skipped"}
 POLARITIES = {"positive", "negative", "mixed"}
 CLASSES = {"safety", "guarantee", "obligation", "recurrence", "persistence",
            "reactivity"}
@@ -129,12 +129,11 @@ def check_vacuity(v):
     stats = v.get("stats")
     require(isinstance(stats, dict), "vacuity: 'stats' missing")
     for key in ("mutants_checked", "mutants_skipped", "safety_prefix",
-                "guarantee_dual", "nested_dfs", "scc", "constant", "unknown"):
+                "guarantee_dual", "scc", "constant", "unknown"):
         require(isinstance(stats.get(key), int) and stats[key] >= 0,
                 f"vacuity.stats: '{key}' missing or negative")
     engines_sum = (stats["safety_prefix"] + stats["guarantee_dual"] +
-                   stats["nested_dfs"] + stats["scc"] + stats["constant"] +
-                   stats["unknown"])
+                   stats["scc"] + stats["constant"] + stats["unknown"])
     require(engines_sum == stats["mutants_checked"],
             f"vacuity.stats: engine tallies sum to {engines_sum}, "
             f"not mutants_checked = {stats['mutants_checked']}")

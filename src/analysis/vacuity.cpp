@@ -267,8 +267,8 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
       switch (r.stats.engine) {
         case fts::CheckEngine::SafetyPrefix: ++result.stats.safety_prefix; break;
         case fts::CheckEngine::GuaranteeDual: ++result.stats.guarantee_dual; break;
-        case fts::CheckEngine::NestedDfs: ++result.stats.nested_dfs; break;
         case fts::CheckEngine::Scc: ++result.stats.scc; break;
+        case fts::CheckEngine::StaticProof: break;  // mutants never reach the prover
       }
     }
   }

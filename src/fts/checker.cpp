@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -29,7 +30,6 @@ using omega::MarkSet;
 
 std::string_view to_string(CheckEngine e) {
   switch (e) {
-    case CheckEngine::NestedDfs: return "nested-DFS";
     case CheckEngine::Scc: return "SCC";
     case CheckEngine::SafetyPrefix: return "safety-prefix";
     case CheckEngine::GuaranteeDual: return "guarantee-dual";
@@ -70,16 +70,6 @@ double elapsed(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-/// A uniform view over the two automaton back-ends for ¬spec: the
-/// deterministic hierarchy-fragment compiler and the NBA tableau.
-struct NegSpecView {
-  std::vector<omega::State> initial;
-  std::function<std::vector<omega::State>(omega::State, lang::Symbol)> step;
-  std::function<MarkSet(omega::State)> marks;
-  Acceptance acceptance = Acceptance::t();
-  std::size_t state_count = 0;
-};
-
 /// 64-bit product keys: state-graph node in the high half, automaton state
 /// in the low half.
 constexpr std::uint64_t pack(std::size_t n, omega::State q) {
@@ -90,85 +80,66 @@ constexpr omega::State aut_of(std::uint64_t key) {
   return static_cast<omega::State>(key & 0xffffffffu);
 }
 
-NegSpecView deterministic_view(std::shared_ptr<omega::DetOmega> m) {
-  NegSpecView v;
-  v.initial = {m->initial()};
-  v.step = [m](omega::State q, lang::Symbol s) {
-    return std::vector<omega::State>{m->next(q, s)};
-  };
-  v.marks = [m](omega::State q) { return m->marks(q); };
-  v.acceptance = m->acceptance();
-  v.state_count = m->state_count();
-  return v;
-}
-
-NegSpecView nba_view(std::shared_ptr<omega::Nba> n) {
-  NegSpecView v;
-  v.initial = n->initial_states();
-  v.step = [n](omega::State q, lang::Symbol s) {
-    std::vector<omega::State> out;
-    for (auto [sym, t] : n->edges(q))
-      if (sym == s) out.push_back(t);
-    return out;
-  };
-  v.marks = [n](omega::State q) {
-    return n->accepting(q) ? omega::mark_bit(0) : MarkSet{0};
-  };
-  v.acceptance = Acceptance::buchi(0);
-  v.state_count = n->state_count();
-  return v;
-}
+/// Acceptance marks available to a product: the width of MarkSet.
+constexpr std::size_t kMarkLimit = 64;
 
 /// Fairness marks: one per weak transition ("ok": disabled or just taken),
 /// two per strong transition (taken / enabled). ¬spec marks are shifted
-/// past them. The frame depends only on the system, so a batch computes it
-/// once and shares it across specs.
-struct FairnessFrame {
-  std::vector<std::size_t> weak, strong;
-  Mark mark_count = 0;
-  Acceptance acceptance = Acceptance::t();  // the fairness conjuncts only
+/// past them. The frame depends only on the system, so a batch shares it;
+/// the per-node marks are computed on first use, by the first spec that
+/// reaches the ω-product (safety-prefix and static verdicts never read
+/// them). Both accessors require mark_count() <= kMarkLimit.
+class FairnessFrame {
+ public:
+  FairnessFrame(const Fts& system, const StateGraph& sg) : sg_(sg) {
+    for (std::size_t t = 0; t < system.transition_count(); ++t) {
+      if (system.transition_fairness(t) == Fairness::Weak) weak_.push_back(t);
+      if (system.transition_fairness(t) == Fairness::Strong) strong_.push_back(t);
+    }
+  }
+
+  std::size_t mark_count() const { return weak_.size() + 2 * strong_.size(); }
+
+  /// The fairness conjuncts: Inf(ok) per weak transition, Inf(taken) ∨
+  /// Fin(enabled) per strong one.
+  Acceptance acceptance() const {
+    Acceptance acc = Acceptance::t();
+    for (std::size_t i = 0; i < weak_.size(); ++i)
+      acc = Acceptance::conj(std::move(acc), Acceptance::inf(weak_mark(i)));
+    for (std::size_t i = 0; i < strong_.size(); ++i)
+      acc = Acceptance::conj(std::move(acc),
+                             Acceptance::disj(Acceptance::inf(taken_mark(i)),
+                                              Acceptance::fin(taken_mark(i) + 1)));
+    return acc;
+  }
+
+  const std::vector<MarkSet>& node_marks() const {
+    std::call_once(once_, [this] {
+      node_marks_.assign(sg_.nodes.size(), 0);
+      for (std::size_t n = 0; n < sg_.nodes.size(); ++n) {
+        const int last = sg_.nodes[n].last_taken;
+        MarkSet& marks = node_marks_[n];
+        for (std::size_t i = 0; i < weak_.size(); ++i)
+          if (!sg_.enabled[n][weak_[i]] || last == static_cast<int>(weak_[i]))
+            marks |= omega::mark_bit(weak_mark(i));
+        for (std::size_t i = 0; i < strong_.size(); ++i) {
+          if (last == static_cast<int>(strong_[i])) marks |= omega::mark_bit(taken_mark(i));
+          if (sg_.enabled[n][strong_[i]]) marks |= omega::mark_bit(taken_mark(i) + 1);
+        }
+      }
+    });
+    return node_marks_;
+  }
+
+ private:
+  static Mark weak_mark(std::size_t i) { return static_cast<Mark>(i); }
+  Mark taken_mark(std::size_t i) const { return static_cast<Mark>(weak_.size() + 2 * i); }
+
+  const StateGraph& sg_;
+  std::vector<std::size_t> weak_, strong_;
+  mutable std::once_flag once_;
+  mutable std::vector<MarkSet> node_marks_;
 };
-
-FairnessFrame fairness_frame(const Fts& system) {
-  FairnessFrame f;
-  for (std::size_t t = 0; t < system.transition_count(); ++t) {
-    if (system.transition_fairness(t) == Fairness::Weak) f.weak.push_back(t);
-    if (system.transition_fairness(t) == Fairness::Strong) f.strong.push_back(t);
-  }
-  f.mark_count = static_cast<Mark>(f.weak.size() + 2 * f.strong.size());
-  for (std::size_t i = 0; i < f.weak.size(); ++i)
-    f.acceptance =
-        Acceptance::conj(std::move(f.acceptance), Acceptance::inf(static_cast<Mark>(i)));
-  for (std::size_t i = 0; i < f.strong.size(); ++i) {
-    const Mark taken_mark = static_cast<Mark>(f.weak.size() + 2 * i);
-    const Mark enabled_mark = static_cast<Mark>(f.weak.size() + 2 * i + 1);
-    f.acceptance = Acceptance::conj(
-        std::move(f.acceptance),
-        Acceptance::disj(Acceptance::inf(taken_mark), Acceptance::fin(enabled_mark)));
-  }
-  return f;
-}
-
-/// Per-node fairness marks, computed once per state graph.
-std::vector<MarkSet> fair_node_marks(const StateGraph& sg, const FairnessFrame& fair) {
-  std::vector<MarkSet> out(sg.nodes.size(), 0);
-  for (std::size_t n = 0; n < sg.nodes.size(); ++n) {
-    MarkSet marks = 0;
-    for (std::size_t i = 0; i < fair.weak.size(); ++i) {
-      bool ok = !sg.enabled[n][fair.weak[i]] ||
-                sg.nodes[n].last_taken == static_cast<int>(fair.weak[i]);
-      if (ok) marks |= omega::mark_bit(static_cast<Mark>(i));
-    }
-    for (std::size_t i = 0; i < fair.strong.size(); ++i) {
-      if (sg.nodes[n].last_taken == static_cast<int>(fair.strong[i]))
-        marks |= omega::mark_bit(static_cast<Mark>(fair.weak.size() + 2 * i));
-      if (sg.enabled[n][fair.strong[i]])
-        marks |= omega::mark_bit(static_cast<Mark>(fair.weak.size() + 2 * i + 1));
-    }
-    out[n] = marks;
-  }
-  return out;
-}
 
 /// Atom labels computed once per state-graph node per vocabulary (the
 /// product pairs every automaton state with node n — without the cache every
@@ -187,60 +158,200 @@ std::vector<lang::Symbol> label_nodes(const Fts& system, const StateGraph& sg,
   return labels;
 }
 
-/// If acc is a pure conjunction of Inf atoms (generalized Büchi), collects
-/// the required marks and returns true; otherwise the product needs the
-/// general Emerson–Lei good-loop engine.
-bool collect_inf_conjuncts(const Acceptance& acc, std::vector<Mark>& out) {
-  switch (acc.kind()) {
-    case Acceptance::Kind::True:
-      return true;
-    case Acceptance::Kind::Inf:
-      out.push_back(acc.mark());
-      return true;
-    case Acceptance::Kind::And: {
-      for (const auto& c : acc.children())
-        if (!collect_inf_conjuncts(c, out)) return false;
-      return true;
-    }
-    default:
-      return false;
+/// The ¬spec automaton as one flat successor table indexed by state ×
+/// symbol: the successors of q on s are succ[row[q·symbols + s] ..
+/// row[q·symbols + s + 1]). State marks are stored already shifted past the
+/// fairness marks.
+struct NegSpec {
+  std::vector<omega::State> initial;
+  std::size_t symbols = 0;
+  std::vector<std::uint32_t> row{0};
+  std::vector<omega::State> succ;
+  std::vector<MarkSet> marks;
+
+  std::size_t state_count() const { return marks.size(); }
+  std::span<const omega::State> next(omega::State q, lang::Symbol s) const {
+    const std::size_t r = q * symbols + s;
+    return {succ.data() + row[r], succ.data() + row[r + 1]};
   }
+  /// Appends the successors of state q; `edges` lists (symbol, target)
+  /// sorted by symbol.
+  void add_row(const std::vector<std::pair<lang::Symbol, omega::State>>& edges) {
+    std::size_t i = 0;
+    for (lang::Symbol s = 0; s < symbols; ++s) {
+      while (i < edges.size() && edges[i].first == s) succ.push_back(edges[i++].second);
+      row.push_back(static_cast<std::uint32_t>(succ.size()));
+    }
+  }
+};
+
+/// Table of a deterministic ¬spec automaton. For the guarantee dual
+/// (`live` set) the dead states are dropped and their marks ignored: the
+/// accepting runs are exactly those that stay live.
+NegSpec tabulate(const omega::DetOmega& m, Mark shift, const std::vector<bool>* live) {
+  NegSpec neg;
+  neg.symbols = m.alphabet().size();
+  if (!live || (*live)[m.initial()]) neg.initial = {m.initial()};
+  const MarkSet used = live ? 0 : m.acceptance().mentioned_marks();
+  std::vector<std::pair<lang::Symbol, omega::State>> edges;
+  for (omega::State q = 0; q < m.state_count(); ++q) {
+    edges.clear();
+    for (lang::Symbol s = 0; s < neg.symbols; ++s)
+      if (!live || (*live)[m.next(q, s)]) edges.emplace_back(s, m.next(q, s));
+    neg.add_row(edges);
+    neg.marks.push_back(used ? (m.marks(q) & used) << shift : 0);
+  }
+  return neg;
 }
 
-/// On-the-fly emptiness for generalized-Büchi product acceptance: the
-/// product is interned lazily while a nested DFS (CVWY with the blue-stack
-/// shortcut) searches for an accepting lasso, so a violation is reported
-/// before the full product exists. Degeneralization is by counter: a cell is
-/// (product state, index of the next required mark to see); the counter
-/// advances on marked cells and a cell is accepting when it completes the
-/// round.
-class OnTheFlyEngine {
+/// Table of the ¬spec NBA tableau; its Büchi mark becomes mark `shift`.
+NegSpec tabulate(const omega::Nba& n, Mark shift) {
+  NegSpec neg;
+  neg.symbols = n.alphabet().size();
+  neg.initial = n.initial_states();
+  for (omega::State q = 0; q < n.state_count(); ++q) {
+    auto edges = n.edges(q);
+    std::stable_sort(edges.begin(), edges.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    neg.add_row(edges);
+    neg.marks.push_back(n.accepting(q) ? omega::mark_bit(shift) : 0);
+  }
+  return neg;
+}
+
+/// Shortest path of at least one edge from `from` to a state satisfying
+/// `goal`, moving only through states in `within`: [from, …, goal].
+std::vector<omega::State> shortest_path(const MarkedGraph& g, omega::State from,
+                                        const std::vector<bool>& within, auto goal) {
+  constexpr omega::State kNone = ~omega::State{0};
+  std::vector<omega::State> parent(g.size(), kNone);
+  std::deque<omega::State> queue{from};
+  while (!queue.empty()) {
+    const omega::State u = queue.front();
+    queue.pop_front();
+    for (omega::State v : g.succ[u]) {
+      if (!within[v]) continue;
+      if (goal(v)) {
+        std::vector<omega::State> path{v};
+        for (omega::State c = u; c != from; c = parent[c]) path.push_back(c);
+        path.push_back(from);
+        std::reverse(path.begin(), path.end());
+        return path;
+      }
+      if (v == from || parent[v] != kNone) continue;
+      parent[v] = u;
+      queue.push_back(v);
+    }
+  }
+  MPH_ASSERT(false);  // callers ask only for paths that exist
+}
+
+/// A lasso in `g` from state 0 around the loop set `in_loop` (a strongly
+/// connected set): the stem is a shortest path to the set, the cycle stays
+/// inside it and passes a state carrying each of its marks, chained from
+/// shortest paths. The cycle sees exactly the marks of the set, so it is
+/// accepting whenever the set is. Returns (stem, cycle); the stem excludes
+/// the cycle's first state.
+std::pair<std::vector<omega::State>, std::vector<omega::State>> lasso_in(
+    const MarkedGraph& g, const std::vector<bool>& in_loop) {
+  std::vector<omega::State> stem, cycle;
+  omega::State anchor = 0;
+  if (!in_loop[0]) {
+    stem = shortest_path(g, 0, std::vector<bool>(g.size(), true),
+                         [&](omega::State v) { return in_loop[v]; });
+    anchor = stem.back();
+    stem.pop_back();
+  }
+  std::vector<omega::State> goals;
+  MarkSet unseen = 0;
+  for (omega::State q = 0; q < g.size(); ++q)
+    if (in_loop[q]) unseen |= g.marks[q];
+  for (omega::State q = 0; q < g.size() && unseen; ++q)
+    if (in_loop[q] && (g.marks[q] & unseen)) {
+      goals.push_back(q);
+      unseen &= ~g.marks[q];
+    }
+  goals.push_back(anchor);
+  omega::State cur = anchor;
+  for (std::size_t i = 0; i < goals.size(); ++i) {
+    if (goals[i] == cur && i + 1 < goals.size()) continue;
+    auto piece = shortest_path(g, cur, in_loop, [&](omega::State v) { return v == goals[i]; });
+    cycle.insert(cycle.end(), piece.begin(), piece.end() - 1);
+    cur = goals[i];
+  }
+  return {std::move(stem), std::move(cycle)};
+}
+
+/// On-the-fly emptiness of the product state graph × ¬spec automaton: one
+/// iterative Tarjan search in Couvreur's style. Pairs are interned lazily,
+/// the state cap enforced at every intern, and the automaton reads the
+/// label of the source node on each step. Each root of the SCC stack
+/// carries the marks of the (partial) component it heads; back edges fold
+/// roots together and OR their marks, and the search stops as soon as a
+/// component's marks satisfy the acceptance, read with Fin(m) as "m not in
+/// the set". A component that closes with Fin atoms still undecided goes,
+/// alone, to omega::find_good_loop. Successors are recomputed, never
+/// stored.
+class ProductSearch {
  public:
-  struct Cell {
-    std::uint32_t pid;  // index of the (node, automaton state) pair
-    std::uint32_t c;    // degeneralization counter
-    bool operator==(const Cell&) const = default;
+  /// Product pairs (indices into the interner) of a violating lasso.
+  struct Lasso {
+    std::vector<std::uint32_t> prefix, loop;
   };
 
-  OnTheFlyEngine(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
-                 const std::vector<MarkSet>& fair_marks, Mark shift, const NegSpecView& neg,
-                 std::vector<Mark> req, const Budget& budget)
+  ProductSearch(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
+                const std::vector<MarkSet>& fair_marks, const NegSpec& neg, Acceptance acc,
+                const Budget& budget)
       : sg_(sg),
         labels_(labels),
         fair_marks_(fair_marks),
-        shift_(shift),
         neg_(neg),
-        req_(std::move(req)),
-        k_(std::max<std::size_t>(req_.size(), 1)),
+        acc_(std::move(acc)),
         budget_(budget) {}
 
-  /// Some accepting product lasso as (prefix cells, loop cells), or nullopt
-  /// when every fair computation satisfies the spec.
-  std::optional<std::pair<std::vector<Cell>, std::vector<Cell>>> run() {
+  /// Some accepting product lasso, or nullopt when every fair computation
+  /// satisfies the spec.
+  std::optional<Lasso> run() {
     for (omega::State q0 : neg_.initial) {
-      Cell root{intern(0, q0), 0};
-      if (flags(root) & kBlue) continue;
-      if (auto lasso = blue_dfs(root)) return lasso;
+      const std::uint32_t start = intern(0, q0);
+      if (index_[start] != kUnvisited) continue;
+      push(start);
+      while (!frames_.empty()) {
+        poll_budget();
+        if (auto t = next_successor(frames_.back())) {
+          if (index_[*t] == kUnvisited) {
+            push(*t);
+          } else if (index_[*t] != kDead) {
+            // Back edge into the live stack: every root above the target
+            // joins the target's component.
+            MarkSet folded = 0;
+            while (roots_.back().index > index_[*t]) {
+              folded |= roots_.back().marks;
+              roots_.pop_back();
+            }
+            Root& r = roots_.back();
+            const bool grew = !r.cyclic || (folded & ~r.marks) != 0;
+            r.marks |= folded;
+            r.cyclic = true;
+            if (grew && acc_.eval(r.marks)) {
+              // A loop through the whole open component sees these marks.
+              const MarkedGraph g = component(r.index - 1);
+              return lasso(r.index - 1, g, std::vector<bool>(g.size(), true));
+            }
+          }
+          continue;
+        }
+        const std::uint32_t pid = frames_.back().pid;
+        frames_.pop_back();
+        if (roots_.back().index != index_[pid]) continue;  // its component is still open
+        const Root r = roots_.back();
+        roots_.pop_back();
+        const std::size_t base = r.index - 1;
+        if (r.cyclic)
+          if (auto lasso = refine(base, r.marks)) return lasso;
+        for (std::size_t i = base; i < live_.size(); ++i) index_[live_[i]] = kDead;
+        live_.resize(base);
+      }
     }
     return std::nullopt;
   }
@@ -248,16 +359,21 @@ class OnTheFlyEngine {
   /// Distinct (node, automaton state) pairs interned so far.
   std::size_t product_states() const { return pids_.size(); }
 
-  std::size_t node_of_cell(Cell cell) const { return node_of(pids_[cell.pid]); }
+  std::size_t node_of_pid(std::uint32_t pid) const { return node_of(pids_[pid]); }
 
  private:
-  static constexpr std::uint8_t kBlue = 1, kRed = 2, kOnStack = 4;
+  // index_[pid]: 1 + position on the live stack, or one of these.
+  static constexpr std::uint32_t kUnvisited = 0, kDead = ~std::uint32_t{0};
 
   struct Frame {
     std::uint32_t pid;
-    std::uint32_t c;
-    std::vector<std::uint32_t> succ;
-    std::size_t i = 0;
+    std::uint32_t qi = 0;  // next automaton successor
+    std::uint32_t ei = 0;  // next state-graph edge
+  };
+  struct Root {
+    std::uint32_t index;  // index_ of the component's first state
+    MarkSet marks;        // union over the component so far
+    bool cyclic;          // the component holds an edge, so a loop
   };
 
   std::uint32_t intern(std::size_t n, omega::State q) {
@@ -266,137 +382,109 @@ class OnTheFlyEngine {
       // The pair is already in the interner, but on exhaustion the whole
       // search unwinds immediately, so the extra key is never observed.
       budget_.require(pids_.size() - 1);
-      marks_.push_back(fair_marks_[n] | (neg_.marks(q) << shift_));
-      cell_flags_.resize(pids_.size() * k_, 0);
+      index_.push_back(kUnvisited);
     }
     return static_cast<std::uint32_t>(idx);
   }
 
-  /// Deadline/cancellation poll amortized over the DFS steps (the state cap
-  /// is enforced exactly at every intern; the clock is read every 4096
+  /// Deadline/cancellation poll amortized over the search steps (the state
+  /// cap is enforced exactly at every intern; the clock is read every 4096
   /// steps).
   void poll_budget() {
     if ((++steps_ & 0xFFFu) != 0) return;
     if (Outcome o = budget_.poll(); !is_complete(o)) throw BudgetExhausted(o);
   }
 
-  std::vector<std::uint32_t> successors(std::uint32_t pid) {
-    const std::uint64_t key = pids_[pid];
-    const std::size_t n = node_of(key);
-    std::vector<std::uint32_t> out;
-    for (omega::State q2 : neg_.step(aut_of(key), labels_[n]))
-      for (auto [target, t] : sg_.edges[n]) {
-        (void)t;
-        out.push_back(intern(target, q2));
-      }
+  MarkSet marks_of(std::uint32_t pid) const {
+    return fair_marks_[node_of(pids_[pid])] | neg_.marks[aut_of(pids_[pid])];
+  }
+
+  void push(std::uint32_t pid) {
+    live_.push_back(pid);
+    index_[pid] = static_cast<std::uint32_t>(live_.size());
+    roots_.push_back({index_[pid], marks_of(pid), false});
+    frames_.push_back({pid});
+  }
+
+  /// The frame's next product successor, interned; nullopt when exhausted.
+  std::optional<std::uint32_t> next_successor(Frame& f) {
+    const std::size_t n = node_of(pids_[f.pid]);
+    const auto qs = neg_.next(aut_of(pids_[f.pid]), labels_[n]);
+    const auto& edges = sg_.edges[n];
+    if (f.qi >= qs.size() || edges.empty()) return std::nullopt;
+    const omega::State q2 = qs[f.qi];
+    const std::size_t target = edges[f.ei].first;
+    if (++f.ei == edges.size()) {
+      f.ei = 0;
+      ++f.qi;
+    }
+    return intern(target, q2);
+  }
+
+  /// The live states from position `base` up, as a graph on their own:
+  /// state i is live_[base + i]; edges leaving the set are dropped.
+  MarkedGraph component(std::size_t base) const {
+    MarkedGraph g;
+    const std::size_t k = live_.size() - base;
+    g.succ.resize(k);
+    g.marks.resize(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::uint32_t pid = live_[base + i];
+      const std::size_t n = node_of(pids_[pid]);
+      g.marks[i] = marks_of(pid);
+      for (omega::State q2 : neg_.next(aut_of(pids_[pid]), labels_[n]))
+        for (auto [target, t] : sg_.edges[n]) {
+          (void)t;
+          const std::size_t s = pids_.find(pack(target, q2));
+          if (s == pids_.size() || index_[s] <= base || index_[s] == kDead) continue;
+          g.succ[i].push_back(static_cast<omega::State>(index_[s] - 1 - base));
+        }
+      std::sort(g.succ[i].begin(), g.succ[i].end());
+      g.succ[i].erase(std::unique(g.succ[i].begin(), g.succ[i].end()), g.succ[i].end());
+    }
+    return g;
+  }
+
+  /// A closed component whose marks as a whole do not satisfy the
+  /// acceptance: with Fin atoms undecided some smaller loop inside may.
+  std::optional<Lasso> refine(std::size_t base, MarkSet marks) const {
+    const Acceptance phi = acc_.restrict_to(marks);
+    if (phi.is_false() || phi.fin_marks() == 0) return std::nullopt;
+    const MarkedGraph g = component(base);
+    const auto loop = omega::find_good_loop(g, phi);
+    if (!loop) return std::nullopt;
+    std::vector<bool> in_loop(g.size(), false);
+    for (omega::State q : *loop) in_loop[q] = true;
+    return lasso(base, g, in_loop);
+  }
+
+  /// A lasso through the component from live position `base` (graph `g`)
+  /// around its loop set. The prefix is the DFS stack below the
+  /// component's first state: all of it once that state's frame is popped.
+  Lasso lasso(std::size_t base, const MarkedGraph& g, const std::vector<bool>& in_loop) const {
+    Lasso out;
+    for (const Frame& f : frames_) {
+      if (f.pid == live_[base]) break;
+      out.prefix.push_back(f.pid);
+    }
+    auto [stem, cycle] = lasso_in(g, in_loop);
+    for (omega::State i : stem) out.prefix.push_back(live_[base + i]);
+    for (omega::State i : cycle) out.loop.push_back(live_[base + i]);
     return out;
-  }
-
-  bool has_required_mark(std::uint32_t pid, std::size_t i) const {
-    return req_.empty() || (marks_[pid] & omega::mark_bit(req_[i]));
-  }
-  std::uint32_t advance(std::uint32_t pid, std::uint32_t c) const {
-    return has_required_mark(pid, c) ? static_cast<std::uint32_t>((c + 1) % k_) : c;
-  }
-  bool accepting(Cell cell) const {
-    return cell.c == k_ - 1 && has_required_mark(cell.pid, k_ - 1);
-  }
-
-  std::uint8_t& flags(Cell cell) { return cell_flags_[std::size_t{cell.pid} * k_ + cell.c]; }
-
-  std::optional<std::pair<std::vector<Cell>, std::vector<Cell>>> blue_dfs(Cell root) {
-    std::vector<Frame> frames;
-    flags(root) |= kBlue | kOnStack;
-    frames.push_back({root.pid, root.c, successors(root.pid), 0});
-    while (!frames.empty()) {
-      poll_budget();
-      Frame& f = frames.back();
-      if (f.i < f.succ.size()) {
-        Cell next{f.succ[f.i++], advance(f.pid, f.c)};
-        if (!(flags(next) & kBlue)) {
-          flags(next) |= kBlue | kOnStack;
-          frames.push_back({next.pid, next.c, successors(next.pid), 0});
-        }
-        continue;
-      }
-      const Cell cur{f.pid, f.c};
-      frames.pop_back();  // postorder; `frames` now holds cur's ancestors
-      if (accepting(cur)) {
-        if (auto red_path = red_dfs(cur)) return assemble(frames, cur, *red_path);
-      }
-      flags(cur) &= static_cast<std::uint8_t>(~kOnStack);
-    }
-    return std::nullopt;
-  }
-
-  /// Red search from an accepting seed: a path seed → ... → u with u on the
-  /// blue DFS stack (u may be the seed itself). Red cells persist across
-  /// seeds, keeping the whole nested search linear.
-  std::optional<std::vector<Cell>> red_dfs(Cell seed) {
-    if (flags(seed) & kRed) return std::nullopt;
-    flags(seed) |= kRed;
-    std::vector<Frame> frames{{seed.pid, seed.c, successors(seed.pid), 0}};
-    while (!frames.empty()) {
-      poll_budget();
-      Frame& f = frames.back();
-      if (f.i == f.succ.size()) {
-        frames.pop_back();
-        continue;
-      }
-      Cell next{f.succ[f.i++], advance(f.pid, f.c)};
-      if (flags(next) & kOnStack) {
-        std::vector<Cell> path;
-        path.reserve(frames.size() + 1);
-        for (const Frame& fr : frames) path.push_back({fr.pid, fr.c});
-        path.push_back(next);
-        return path;
-      }
-      if (!(flags(next) & kRed)) {
-        flags(next) |= kRed;
-        frames.push_back({next.pid, next.c, successors(next.pid), 0});
-      }
-    }
-    return std::nullopt;
-  }
-
-  /// Lasso from the blue ancestors of the seed plus the red path seed→…→u:
-  /// prefix = ancestors, loop = seed →red→ u →blue stack→ last ancestor
-  /// (whose successor closes the loop back at the seed).
-  std::pair<std::vector<Cell>, std::vector<Cell>> assemble(const std::vector<Frame>& frames,
-                                                           Cell seed,
-                                                           const std::vector<Cell>& red_path) {
-    std::vector<Cell> prefix;
-    prefix.reserve(frames.size());
-    for (const Frame& fr : frames) prefix.push_back({fr.pid, fr.c});
-    const Cell u = red_path.back();
-    std::vector<Cell> loop(red_path.begin(), red_path.end() - 1);  // seed .. pred(u)
-    if (!(u == seed)) {
-      std::size_t idx = frames.size();
-      for (std::size_t j = frames.size(); j-- > 0;)
-        if (Cell{frames[j].pid, frames[j].c} == u) {
-          idx = j;
-          break;
-        }
-      MPH_ASSERT(idx < frames.size());  // u is on the blue stack
-      for (std::size_t j = idx; j < frames.size(); ++j)
-        loop.push_back({frames[j].pid, frames[j].c});
-    }
-    MPH_ASSERT(!loop.empty());
-    return {std::move(prefix), std::move(loop)};
   }
 
   const StateGraph& sg_;
   const std::vector<lang::Symbol>& labels_;
   const std::vector<MarkSet>& fair_marks_;
-  const Mark shift_;
-  const NegSpecView& neg_;
-  const std::vector<Mark> req_;
-  const std::size_t k_;
+  const NegSpec& neg_;
+  const Acceptance acc_;
   const Budget& budget_;
   std::uint64_t steps_ = 0;
   FlatInterner<std::uint64_t, IntHash> pids_;
-  std::vector<MarkSet> marks_;            // per pid
-  std::vector<std::uint8_t> cell_flags_;  // per pid × counter
+  std::vector<std::uint32_t> index_;  // per pid
+  std::vector<std::uint32_t> live_;   // Tarjan stack: visited, component still open
+  std::vector<Root> roots_;
+  std::vector<Frame> frames_;  // DFS stack
 };
 
 /// Label cache shared by every spec over the same atom vocabulary.
@@ -411,8 +499,7 @@ struct LabelCache {
 /// runs compilation and the emptiness search and fills the per-spec stats.
 /// `diagnostics` overrides options.diagnostics (the batch hands each worker
 /// a private engine).
-CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
-                      const std::vector<MarkSet>& fair_marks, const LabelCache& cache,
+CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair, const LabelCache& cache,
                       const ltl::Formula& spec, const Budget& budget,
                       const CheckOptions& options, analysis::DiagnosticEngine* diagnostics) {
   const std::string subject = "check '" + spec.to_string() + "'";
@@ -437,7 +524,7 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
     }
   };
 
-  const bool dispatch = options.class_dispatch && !options.force_scc;
+  const bool dispatch = options.class_dispatch;
   core::Classification syn =
       dispatch ? ltl::syntactic_classification(spec) : core::Classification{};
   result.stats.class_source = dispatch ? ClassSource::Syntactic : ClassSource::None;
@@ -471,6 +558,24 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
     }
   }
 
+  // Deterministic compilation of `f` (negated when `negate`). Outside the
+  // old rewrite fragment the ΔΓ-normal form, when one was obtained, gets a
+  // second chance: it is an equivalent hierarchy form (and so is its
+  // negation), so it compiles, usually to a smaller automaton.
+  auto compile_det = [&](const ltl::Formula& f, bool negate) -> std::optional<omega::DetOmega> {
+    try {
+      return ltl::compile(negate ? f_not(f) : f, cache.alphabet);
+    } catch (const std::invalid_argument&) {
+    }
+    if (get_normal() && !(f == *normal)) try {
+      auto m = ltl::compile(negate ? f_not(*normal) : *normal, cache.alphabet);
+      result.stats.class_source = ClassSource::Normalized;
+      return m;
+    } catch (const std::invalid_argument&) {
+    }
+    return std::nullopt;
+  };
+
   // Class shortcut 1 — syntactically-safety spec: det(spec) recognizes a
   // closed language, so a run is accepting iff it never enters a
   // residual-empty ("dead") state, and a computation violates the spec iff
@@ -482,19 +587,8 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
   // reachable at all. Plain BFS over node × automaton pairs decides it.
   if (dispatch && syn.safety) {
     auto t_compile = Clock::now();
-    std::shared_ptr<omega::DetOmega> m;
-    try {
-      m = std::make_shared<omega::DetOmega>(ltl::compile(routed, cache.alphabet));
-    } catch (const std::invalid_argument&) {
-      // Outside the old rewrite fragment: compile the normal form instead.
-      if (get_normal() && !(routed == *normal)) try {
-        m = std::make_shared<omega::DetOmega>(ltl::compile(*normal, cache.alphabet));
-        result.stats.class_source = ClassSource::Normalized;
-      } catch (const std::invalid_argument&) {
-      }
-      // Otherwise fall through to the ω-engines.
-    }
-    if (m) {
+    const std::optional<omega::DetOmega> m = compile_det(routed, false);
+    if (m) {  // otherwise fall through to the ω-engine
       result.stats.compile_seconds = elapsed(t_compile);
       result.stats.automaton_states = m->state_count();
       result.stats.product_bound = sg.nodes.size() * m->state_count();
@@ -593,65 +687,27 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
   // Compile ¬spec: for a syntactically-guarantee spec under class dispatch,
   // det(¬spec) recognizes a *closed* language (shortcut 2): restrict it to
   // its live states and acceptance becomes ⊤ — the search degrades to a
-  // fairness-only lasso hunt instead of inheriting the Fin-shaped acceptance
-  // that forces the SCC engine. Otherwise: deterministic route first, NBA
-  // tableau as fallback.
+  // fairness-only lasso hunt instead of inheriting the Fin-shaped
+  // acceptance. Otherwise: deterministic route first, NBA tableau as
+  // fallback.
   auto t_compile = Clock::now();
-  NegSpecView neg;
+  std::optional<omega::DetOmega> det;
+  std::optional<omega::Nba> nba;
   bool dual = false;
   if (dispatch && !syn.safety && syn.guarantee) {
-    std::shared_ptr<omega::DetOmega> m;
-    try {
-      m = std::make_shared<omega::DetOmega>(ltl::compile(f_not(routed), cache.alphabet));
-    } catch (const std::invalid_argument&) {
-      // Outside the old rewrite fragment: negate the normal form instead
-      // (the negation of a hierarchy form is still a hierarchy form).
-      if (get_normal() && !(routed == *normal)) try {
-        m = std::make_shared<omega::DetOmega>(ltl::compile(f_not(*normal), cache.alphabet));
-        result.stats.class_source = ClassSource::Normalized;
-      } catch (const std::invalid_argument&) {
-      }
-    }
-    if (m) {
-      auto live = std::make_shared<const std::vector<bool>>(omega::live_states(*m));
-      if ((*live)[m->initial()]) neg.initial = {m->initial()};
-      neg.step = [m, live](omega::State q, lang::Symbol s) {
-        const omega::State t = m->next(q, s);
-        return (*live)[t] ? std::vector<omega::State>{t} : std::vector<omega::State>{};
-      };
-      neg.marks = [](omega::State) { return MarkSet{0}; };
-      neg.acceptance = Acceptance::t();
-      neg.state_count = m->state_count();
-      dual = true;
-    }
+    det = compile_det(routed, true);
+    dual = det.has_value();
   }
-  if (!dual) try {
-    neg = deterministic_view(
-        std::make_shared<omega::DetOmega>(ltl::compile(f_not(spec), cache.alphabet)));
-  } catch (const std::invalid_argument&) {
-    // Second chance: the ΔΓ-normal form (when one was obtained) is an
-    // equivalent formula inside the deterministic fragment — negating a
-    // hierarchy form stays a hierarchy form, so this compile succeeds and
-    // the check keeps a deterministic (and usually smaller) product.
-    bool rescued = false;
-    if (get_normal()) {
-      try {
-        neg = deterministic_view(
-            std::make_shared<omega::DetOmega>(ltl::compile(f_not(*normal), cache.alphabet)));
-        rescued = true;
-        result.stats.class_source = ClassSource::Normalized;
-      } catch (const std::invalid_argument&) {
-      }
-    }
-    if (!rescued) {
+  if (!det) det = compile_det(spec, true);
+  if (!det) {
     result.stats.nba_fallback = true;
-    auto nba = ltl::to_nba(f_not(spec), cache.alphabet, budget);
-    if (!nba.complete()) {
+    auto tableau = ltl::to_nba(f_not(spec), cache.alphabet, budget);
+    if (!tableau.complete()) {
       result.stats.compile_seconds = elapsed(t_compile);
-      give_up(nba.outcome, "the ¬spec NBA tableau construction");
+      give_up(tableau.outcome, "the ¬spec NBA tableau construction");
       return result;
     }
-    neg = nba_view(std::make_shared<omega::Nba>(std::move(*nba.value)));
+    nba.emplace(std::move(*tableau.value));
     if (diagnostics)
       diagnostics
           ->emit("MPH-V001", subject,
@@ -659,140 +715,57 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
                  "NBA tableau (product acceptance stays Büchi-shaped)")
           .fix_hint = "rewriting the specification into hierarchy form gives a "
                       "deterministic, usually smaller product";
-    }
   }
-  result.stats.compile_seconds = elapsed(t_compile);
-  result.stats.automaton_states = neg.state_count;
-  result.stats.product_bound = sg.nodes.size() * neg.state_count;
 
-  Acceptance acc =
-      Acceptance::conj(Acceptance(fair.acceptance), neg.acceptance.shift(fair.mark_count));
-  MPH_REQUIRE((acc.mentioned_marks() >> 63) == 0, "too many fairness marks");
+  // Product acceptance: the fairness marks first, the ¬spec marks shifted
+  // past them, all in one MarkSet.
+  const Acceptance neg_acc =
+      dual ? Acceptance::t() : det ? det->acceptance() : Acceptance::buchi(0);
+  const auto neg_marks = static_cast<std::size_t>(std::bit_width(neg_acc.mentioned_marks()));
+  if (fair.mark_count() + neg_marks > kMarkLimit)
+    throw std::invalid_argument(
+        subject + ": the fair product needs " + std::to_string(fair.mark_count() + neg_marks) +
+        " acceptance marks (" + std::to_string(fair.mark_count()) + " for fairness, " +
+        std::to_string(neg_marks) + " for ¬spec), more than the limit of " +
+        std::to_string(kMarkLimit));
+  const Mark shift = static_cast<Mark>(fair.mark_count());
+  std::vector<bool> live;
+  if (dual) live = omega::live_states(*det);
+  const NegSpec neg = det ? tabulate(*det, shift, dual ? &live : nullptr) : tabulate(*nba, shift);
+  result.stats.compile_seconds = elapsed(t_compile);
+  result.stats.automaton_states = neg.state_count();
+  result.stats.product_bound = sg.nodes.size() * neg.state_count();
+  result.stats.engine = dual ? CheckEngine::GuaranteeDual : CheckEngine::Scc;
+  const Acceptance acc = Acceptance::conj(fair.acceptance(), neg_acc.shift(shift));
 
   auto emit_product_note = [&] {
     if (!diagnostics) return;
     diagnostics->emit(
         "MPH-V002", subject,
         "product of " + std::to_string(sg.nodes.size()) + " system states × " +
-            std::to_string(neg.state_count) + "-state ¬spec automaton built " +
+            std::to_string(neg.state_count()) + "-state ¬spec automaton built " +
             std::to_string(result.stats.product_states) + " of at most " +
-            std::to_string(result.stats.product_bound) + " states (" +
-            (result.stats.on_the_fly ? "on-the-fly nested DFS" : "SCC good-loop engine") +
+            std::to_string(result.stats.product_bound) + " states (on-the-fly SCC search" +
             (dual ? "; guarantee dual, fairness-only acceptance" : "") + ")");
   };
 
+  const std::vector<MarkSet>& fair_marks = fair.node_marks();
   auto t_search = Clock::now();
-  std::vector<Mark> req;
-  if (!options.force_scc && collect_inf_conjuncts(acc, req)) {
-    // Generalized Büchi: interleave product construction with a nested-DFS
-    // emptiness check — a violating lasso exits before the product is full.
-    std::sort(req.begin(), req.end());
-    req.erase(std::unique(req.begin(), req.end()), req.end());
-    result.stats.on_the_fly = true;
-    result.stats.engine = dual ? CheckEngine::GuaranteeDual : CheckEngine::NestedDfs;
-    OnTheFlyEngine engine(sg, cache.labels, fair_marks, fair.mark_count, neg,
-                          std::move(req), budget);
-    decltype(engine.run()) lasso;
-    try {
-      lasso = engine.run();
-    } catch (const BudgetExhausted& e) {
-      result.product_states = result.stats.product_states = engine.product_states();
-      result.stats.search_seconds = elapsed(t_search);
-      emit_product_note();
-      give_up(e.outcome(), "the nested-DFS product search");
-      return result;
-    }
-    result.product_states = result.stats.product_states = engine.product_states();
+  ProductSearch search(sg, cache.labels, fair_marks, neg, acc, budget);
+  std::optional<ProductSearch::Lasso> lasso;
+  try {
+    lasso = search.run();
+  } catch (const BudgetExhausted& e) {
+    result.product_states = result.stats.product_states = search.product_states();
     result.stats.search_seconds = elapsed(t_search);
     emit_product_note();
-    if (!lasso) {
-      result.holds = true;
-      return result;
-    }
-    result.holds = false;
-    if (diagnostics) {
-      auto& d = diagnostics->emit("MPH-V003", subject,
-                                  "a fair computation violates the specification");
-      d.witness =
-          "fair lasso through " + std::to_string(lasso->second.size()) + " product state(s)";
-    }
-    Counterexample cex;
-    for (auto cell : lasso->first)
-      cex.prefix.push_back(sg.nodes[engine.node_of_cell(cell)].valuation);
-    for (auto cell : lasso->second)
-      cex.loop.push_back(sg.nodes[engine.node_of_cell(cell)].valuation);
-    result.counterexample = std::move(cex);
+    give_up(e.outcome(), "the SCC product search");
     return result;
   }
-
-  // General Emerson–Lei acceptance (strong fairness, Streett/Rabin-shaped
-  // ¬spec): build the reachable product lazily and run the SCC good-loop
-  // engine. The automaton reads the label of the source node on each step.
-  result.stats.engine = dual ? CheckEngine::GuaranteeDual : CheckEngine::Scc;
-  FlatInterner<std::uint64_t, IntHash> pids;
-  auto intern = [&](std::size_t n, omega::State q) {
-    auto [idx, inserted] = pids.intern(pack(n, q));
-    if (inserted) budget.require(pids.size() - 1);
-    return static_cast<omega::State>(idx);
-  };
-  MarkedGraph g;
-  try {
-    for (omega::State q0 : neg.initial) intern(0, q0);
-  } catch (const BudgetExhausted& e) {
-    result.product_states = result.stats.product_states = pids.size();
-    result.stats.search_seconds = elapsed(t_search);
-    give_up(e.outcome(), "the SCC product construction");
-    return result;
-  }
-  if (pids.size() == 0) {
-    // The ¬spec automaton has no initial states (the NBA tableau of an
-    // unsatisfiable negation), so the product has no runs: the spec holds
-    // over every fair computation.
-    result.stats.search_seconds = elapsed(t_search);
-    emit_product_note();
-    result.holds = true;
-    return result;
-  }
-  g.initial = 0;
-  try {
-    for (omega::State p = 0; p < pids.size(); ++p) {
-      if ((p & 0x3FFu) == 0) {
-        if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
-      }
-      const std::uint64_t key = pids[p];
-      const std::size_t n = node_of(key);
-      const omega::State q = aut_of(key);
-      std::vector<omega::State> succ;
-      for (omega::State q2 : neg.step(q, cache.labels[n]))
-        for (auto [target, t] : sg.edges[n]) {
-          (void)t;
-          succ.push_back(intern(target, q2));
-        }
-      g.succ.push_back(std::move(succ));
-      g.marks.push_back(fair_marks[n] | (neg.marks(q) << fair.mark_count));
-    }
-  } catch (const BudgetExhausted& e) {
-    result.product_states = result.stats.product_states = pids.size();
-    result.stats.search_seconds = elapsed(t_search);
-    give_up(e.outcome(), "the SCC product construction");
-    return result;
-  }
-  // Multiple NBA initial states: add a virtual root so the good-loop search
-  // sees all of them as reachable.
-  if (neg.initial.size() > 1) {
-    const omega::State root = static_cast<omega::State>(g.succ.size());
-    g.succ.emplace_back();
-    g.marks.push_back(0);
-    for (std::size_t i = 0; i < neg.initial.size(); ++i)
-      g.succ[root].push_back(static_cast<omega::State>(i));
-    g.initial = root;
-  }
-
-  result.product_states = result.stats.product_states = pids.size();
-  auto loop = omega::find_good_loop(g, acc);
+  result.product_states = result.stats.product_states = search.product_states();
   result.stats.search_seconds = elapsed(t_search);
   emit_product_note();
-  if (!loop) {
+  if (!lasso) {
     result.holds = true;
     return result;
   }
@@ -800,90 +773,13 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
   if (diagnostics) {
     auto& d = diagnostics->emit("MPH-V003", subject,
                                 "a fair computation violates the specification");
-    d.witness = "fair loop through " + std::to_string(loop->size()) + " product state(s)";
+    d.witness = "fair lasso through " + std::to_string(lasso->loop.size()) + " product state(s)";
   }
-  // Counterexample: shortest path from some initial product node to the
-  // loop, then a cycle covering it.
-  std::vector<bool> in_loop(g.size(), false);
-  for (omega::State q : *loop) in_loop[q] = true;
-  std::vector<std::int64_t> parent(g.size(), -2);
-  std::deque<omega::State> queue;
-  for (std::size_t i = 0; i < neg.initial.size(); ++i) {
-    parent[i] = -1;
-    queue.push_back(static_cast<omega::State>(i));
-  }
-  omega::State anchor = static_cast<omega::State>(~0u);
-  for (std::size_t i = 0; i < neg.initial.size() && anchor == static_cast<omega::State>(~0u);
-       ++i)
-    if (in_loop[i]) anchor = static_cast<omega::State>(i);
-  while (!queue.empty() && anchor == static_cast<omega::State>(~0u)) {
-    omega::State u = queue.front();
-    queue.pop_front();
-    for (omega::State v : g.succ[u]) {
-      if (parent[v] != -2) continue;
-      parent[v] = static_cast<std::int64_t>(u);
-      if (in_loop[v]) {
-        anchor = v;
-        break;
-      }
-      queue.push_back(v);
-    }
-  }
-  MPH_ASSERT(anchor != static_cast<omega::State>(~0u));
   Counterexample cex;
-  auto valuation_of = [&](omega::State p) -> const Valuation& {
-    return sg.nodes[node_of(pids[p])].valuation;
-  };
-  {
-    std::vector<omega::State> path;
-    for (omega::State cur = anchor;;) {
-      path.push_back(cur);
-      if (parent[cur] < 0) break;
-      cur = static_cast<omega::State>(parent[cur]);
-    }
-    for (auto it = path.rbegin(); it != path.rend(); ++it)
-      cex.prefix.push_back(valuation_of(*it));
-    cex.prefix.pop_back();  // the anchor starts the loop instead
-  }
-  // Cycle through all loop nodes by chaining shortest paths within the loop.
-  auto seg = [&](omega::State from, omega::State to) {
-    MPH_ASSERT(from != to);
-    std::vector<std::int64_t> par(g.size(), -2);
-    std::deque<omega::State> q2{from};
-    par[from] = -1;
-    while (!q2.empty()) {
-      omega::State u = q2.front();
-      q2.pop_front();
-      for (omega::State v : g.succ[u]) {
-        if (!in_loop[v] || par[v] != -2) continue;
-        par[v] = static_cast<std::int64_t>(u);
-        q2.push_back(v);
-      }
-    }
-    MPH_ASSERT(par[to] != -2);
-    std::vector<omega::State> rev;
-    for (omega::State c = static_cast<omega::State>(par[to]); par[c] >= 0;
-         c = static_cast<omega::State>(par[c]))
-      rev.push_back(c);
-    std::vector<omega::State> fwd{from};
-    fwd.insert(fwd.end(), rev.rbegin(), rev.rend());
-    return fwd;
-  };
-  std::vector<omega::State> cycle;
-  omega::State cur = anchor;
-  for (omega::State goal : *loop) {
-    if (goal == cur) continue;
-    auto piece = seg(cur, goal);
-    cycle.insert(cycle.end(), piece.begin(), piece.end());
-    cur = goal;
-  }
-  if (cur != anchor) {
-    auto piece = seg(cur, anchor);
-    cycle.insert(cycle.end(), piece.begin(), piece.end());
-  } else if (cycle.empty()) {
-    cycle.push_back(anchor);  // singleton loop with a self-edge
-  }
-  for (omega::State q : cycle) cex.loop.push_back(valuation_of(q));
+  for (std::uint32_t pid : lasso->prefix)
+    cex.prefix.push_back(sg.nodes[search.node_of_pid(pid)].valuation);
+  for (std::uint32_t pid : lasso->loop)
+    cex.loop.push_back(sg.nodes[search.node_of_pid(pid)].valuation);
   result.counterexample = std::move(cex);
   return result;
 }
@@ -910,11 +806,10 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
 
   // Exploration-free proofs first: any spec the static prover certifies is
   // done — stamped StaticProof/Complete with zero states — before a single
-  // node is expanded. force_scc demands the SCC engine, so the hook is
-  // skipped there (the fuzz oracles rely on force_scc meaning exactly that).
+  // node is expanded.
   std::vector<char> resolved(specs.size(), 0);
   std::size_t n_resolved = 0;
-  if (options.static_prover && !options.force_scc) {
+  if (options.static_prover) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
       validated_atoms(specs[i], atoms);  // same vocabulary contract as the engines
       auto proved = options.static_prover(specs[i]);
@@ -970,8 +865,7 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     return results;
   }
   const StateGraph& sg = ex.graph;
-  FairnessFrame fair = fairness_frame(system);
-  std::vector<MarkSet> fair_marks = fair_node_marks(sg, fair);
+  const FairnessFrame fair(system, sg);
 
   std::map<std::vector<std::string>, LabelCache> caches;
   std::vector<const LabelCache*> cache_of(specs.size());
@@ -990,7 +884,7 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
   }
 
   auto run_one = [&](std::size_t i, analysis::DiagnosticEngine* engine) {
-    CheckResult r = check_one(sg, fair, fair_marks, *cache_of[i], specs[i],
+    CheckResult r = check_one(sg, fair, *cache_of[i], specs[i],
                               budget, options, engine);
     r.stats.explore_seconds = explore_seconds;
     r.stats.label_seconds = cache_of[i]->seconds;

@@ -6,12 +6,11 @@
 //
 // The engine is on-the-fly: the product of the state graph with the ¬spec
 // automaton is interned lazily, atom labels are computed once per state-graph
-// node, and for generalized-Büchi-shaped acceptance (weak fairness plus a
-// guarantee/recurrence ¬spec or the NBA tableau) an interleaved nested-DFS
-// emptiness check reports a violating lasso before the full product exists.
-// General Emerson–Lei acceptance (strong fairness, Streett/Rabin ¬spec) uses
-// the SCC good-loop engine over the lazily built reachable product.
-// See docs/CHECKER.md.
+// node, and one Tarjan/Couvreur SCC search merges acceptance marks as
+// components form, so a violating lasso is reported before the full product
+// exists. Fin atoms (strong fairness, Streett/Rabin ¬spec) left undecided
+// when a component closes are settled by the good-loop search on that
+// component alone. See docs/CHECKER.md.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +33,8 @@ struct Counterexample {
   std::string to_string(const Fts& system) const;
 };
 
-/// Which emptiness machinery decided a check. The first two are the general
-/// ω-engines; the last two are the class-aware shortcuts taken when
+/// Which emptiness machinery decided a check. Scc is the general ω-engine;
+/// the next two are the class-aware shortcuts taken when
 /// `CheckOptions::class_dispatch` is on (docs/VACUITY.md):
 ///   SafetyPrefix  — syntactically-safety spec, decided by plain BFS over the
 ///                   node × det(spec) product against the dead (residual-empty)
@@ -49,20 +48,20 @@ struct Counterexample {
 ///                   runs are exactly those staying inside the live states;
 ///                   pruning the dead states turns the acceptance into ⊤ and
 ///                   the product search back into a fairness-only lasso hunt
-///                   (nested-DFS) instead of the Fin-shaped SCC path.
-/// A fifth source of verdicts sits above all four:
+///                   instead of inheriting a Fin-shaped acceptance.
+/// A fourth source of verdicts sits above all three:
 ///   StaticProof   — the spec was discharged by `CheckOptions::static_prover`
 ///                   (interval abstract interpretation, src/analysis/absint.*)
 ///                   without exploring a single state; stats report 0 nodes
 ///                   and 0 product states. Only "holds" verdicts arrive this
 ///                   way — a prover that cannot certify the spec returns
 ///                   nothing and the check falls through to the engines.
-enum class CheckEngine : std::uint8_t { NestedDfs, Scc, SafetyPrefix, GuaranteeDual, StaticProof };
+enum class CheckEngine : std::uint8_t { Scc, SafetyPrefix, GuaranteeDual, StaticProof };
 
 std::string_view to_string(CheckEngine e);
 
 /// Where the classification that picked the engine came from:
-///   None       — class dispatch off (or force_scc): the general engines run
+///   None       — class dispatch off: the general engine runs
 ///   Syntactic  — ltl::syntactic_classification on the spec as written
 ///   Normalized — the spec was ΔΓ-normalized (src/ltl/normalize.hpp) and the
 ///                classification/compilation used the hierarchy normal form;
@@ -81,9 +80,8 @@ struct CheckStats {
   std::size_t automaton_states = 0;   ///< states of the compiled ¬spec automaton
   std::size_t product_states = 0;     ///< distinct (node, automaton-state) pairs built
   std::size_t product_bound = 0;      ///< state_graph_nodes × automaton_states
-  bool on_the_fly = false;            ///< nested-DFS early-exit emptiness used
   bool nba_fallback = false;          ///< ¬spec outside the hierarchy fragment
-  CheckEngine engine = CheckEngine::NestedDfs;  ///< machinery that decided the verdict
+  CheckEngine engine = CheckEngine::Scc;  ///< machinery that decided the verdict
   ClassSource class_source = ClassSource::None;  ///< provenance of the routing class
   std::size_t normalize_steps = 0;  ///< rewrite steps spent by ΔΓ-normalization
   Outcome outcome = Outcome::Complete;  ///< how the check ended (docs/BUDGETS.md)
@@ -124,18 +122,13 @@ struct CheckOptions {
   /// run fully sequential and deterministic; with more threads, results and
   /// merged diagnostics still come back in spec order.
   unsigned threads = 1;
-  /// Skip the on-the-fly nested-DFS even when the acceptance is
-  /// generalized-Büchi-shaped and use the SCC good-loop engine instead.
-  /// Both engines must agree on every input; differential fuzzing
-  /// (src/fuzz, oracle `fts-engines`) relies on this switch.
-  bool force_scc = false;
   /// Class-aware engine dispatch: route syntactically-safety specs to the
   /// closed-prefix reachability check and syntactically-guarantee specs
   /// through the safety dual (see CheckEngine). Verdicts are identical to
   /// the full engines on every input — the vacuity analyzer
   /// (mph::analysis, docs/VACUITY.md) turns this on to keep mutant batches
-  /// off the ω-product path. Ignored when `force_scc` is set, and silently
-  /// skipped for specs outside the dispatchable shapes.
+  /// off the ω-product path. Silently skipped for specs outside the
+  /// dispatchable shapes.
   bool class_dispatch = false;
   /// Rule-application cap for the ΔΓ-normalization attempted (under
   /// class_dispatch) when the syntactic classification finds neither safety
@@ -144,7 +137,7 @@ struct CheckOptions {
   /// 0 disables normalization in the checker.
   std::size_t normalize_steps = 512;
   /// Exploration-free proof hook, consulted per spec *before* the shared
-  /// exploration (skipped under `force_scc`, which demands the SCC engine).
+  /// exploration.
   /// Returning a result means "this spec is proved to hold" — the checker
   /// stamps it `CheckEngine::StaticProof` / Outcome::Complete with zero
   /// exploration and, when every spec in the batch resolves statically,
@@ -166,7 +159,9 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
 /// must all be present in `atoms`. The negated specification is compiled
 /// deterministically when it lies in the hierarchy fragment; otherwise, for
 /// future-only formulas, a nondeterministic Büchi tableau is used. Throws if
-/// neither route applies.
+/// neither route applies, or if a spec that needs the ω-product needs more
+/// acceptance marks (one per weak transition, two per strong transition,
+/// plus those of ¬spec) than the 64 a MarkSet holds.
 ///
 /// When `options.diagnostics` is set, the checker reports through it:
 /// MPH-V001 (tableau fallback), MPH-V002 (product size), MPH-V003 (violation

@@ -1,5 +1,6 @@
 #include "src/fuzz/oracles.hpp"
 
+#include <bit>
 #include <map>
 
 #include "src/analysis/absint.hpp"
@@ -14,8 +15,10 @@
 #include "src/ltl/hierarchy.hpp"
 #include "src/ltl/normalize.hpp"
 #include "src/ltl/semantic.hpp"
+#include "src/ltl/to_nba.hpp"
 #include "src/omega/counter_free.hpp"
 #include "src/omega/emptiness.hpp"
+#include "src/omega/graph.hpp"
 #include "src/omega/inclusion.hpp"
 #include "src/omega/operators.hpp"
 #include "src/support/check.hpp"
@@ -381,10 +384,10 @@ CheckOutcome check_ltl_eval(const FuzzCase& c, const Budget& budget) {
 }
 
 // ------------------------------------------------------------------------
-// fts-engines: the checker's on-the-fly nested-DFS engine against the SCC
-// good-loop engine and the class-dispatched route on the same system and
-// spec, with every counterexample replayed under the independent lasso
-// evaluator.
+// fts-engines: the checker's on-the-fly SCC engine and its class-dispatched
+// route against a reference leg that builds the whole reachable product
+// here, from public APIs only, and decides it with omega::find_good_loop.
+// Every counterexample is replayed under the independent lasso evaluator.
 
 FuzzCase gen_fts_engines(Rng& rng) {
   FuzzCase c;
@@ -406,42 +409,121 @@ FuzzCase gen_fts_engines(Rng& rng) {
   return c;
 }
 
+/// The reference verdict: explore the system, compile ¬spec (deterministic
+/// when it compiles, else the NBA tableau), build every reachable (node,
+/// automaton state) pair with a breadth-first search, encode the fairness
+/// requirements as marks of its own (¬spec marks first, then one per weak
+/// transition and two per strong one), and look for a good loop from each
+/// initial pair. Returns the outcome and, when Complete, whether the spec
+/// holds.
+std::pair<Outcome, bool> reference_verdict(const fts::Fts& sys, const fts::AtomMap& atoms,
+                                           const ltl::Formula& spec, const Budget& budget) {
+  const fts::ExploreResult ex = fts::explore(sys, budget);
+  if (!is_complete(ex.outcome)) return {ex.outcome, false};
+  const fts::StateGraph& sg = ex.graph;
+  const auto names = spec.atoms();
+  const lang::Alphabet sigma = lang::Alphabet::of_props(names);
+  std::optional<DetOmega> det;
+  std::optional<omega::Nba> nba;
+  try {
+    det.emplace(ltl::compile(ltl::f_not(spec), sigma));
+  } catch (const std::invalid_argument&) {
+    auto tableau = ltl::to_nba(ltl::f_not(spec), sigma, budget);
+    if (!tableau.complete()) return {tableau.outcome, false};
+    nba.emplace(std::move(*tableau.value));
+  }
+  omega::Acceptance acc = det ? det->acceptance() : omega::Acceptance::buchi(0);
+  const omega::MarkSet spec_marks = acc.mentioned_marks();
+  auto mark = static_cast<omega::Mark>(std::bit_width(spec_marks));  // next free mark
+  std::vector<omega::MarkSet> fair(sg.nodes.size(), 0);
+  for (std::size_t t = 0; t < sys.transition_count(); ++t) {
+    const fts::Fairness fairness = sys.transition_fairness(t);
+    if (fairness == fts::Fairness::None) continue;
+    const bool weak = fairness == fts::Fairness::Weak;
+    // Justice: infinitely often disabled or taken. Compassion: infinitely
+    // often taken, or enabled only finitely often.
+    for (std::size_t n = 0; n < sg.nodes.size(); ++n) {
+      const bool taken = sg.nodes[n].last_taken == static_cast<int>(t);
+      if (taken || (weak && !sg.enabled[n][t])) fair[n] |= omega::mark_bit(mark);
+      if (!weak && sg.enabled[n][t]) fair[n] |= omega::mark_bit(mark + 1);
+    }
+    acc = omega::Acceptance::conj(
+        std::move(acc), weak ? omega::Acceptance::inf(mark)
+                             : omega::Acceptance::disj(omega::Acceptance::inf(mark),
+                                                       omega::Acceptance::fin(mark + 1)));
+    mark += weak ? 1 : 2;
+  }
+
+  std::map<std::pair<std::size_t, omega::State>, omega::State> index;
+  std::vector<std::pair<std::size_t, omega::State>> pairs;
+  auto id_of = [&](std::size_t n, omega::State q) {
+    auto [it, inserted] = index.emplace(std::make_pair(n, q), omega::State(pairs.size()));
+    if (inserted) pairs.emplace_back(n, q);
+    return it->second;
+  };
+  const std::vector<omega::State> initial =
+      det ? std::vector<omega::State>{det->initial()} : nba->initial_states();
+  for (omega::State q0 : initial) id_of(0, q0);
+  omega::MarkedGraph g;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    if (Outcome o = budget.admit(p); !is_complete(o)) return {o, false};
+    const auto [n, q] = pairs[p];
+    lang::Symbol label = 0;
+    for (std::size_t i = 0; i < names.size(); ++i)
+      if (atoms.at(names[i])(sys, sg.nodes[n].valuation, sg.nodes[n].last_taken))
+        label |= lang::Symbol{1} << i;
+    std::vector<omega::State> next;
+    if (det) next.push_back(det->next(q, label));
+    else
+      for (auto [sym, t] : nba->edges(q))
+        if (sym == label) next.push_back(t);
+    g.succ.emplace_back();
+    for (omega::State q2 : next)
+      for (const auto& edge : sg.edges[n]) g.succ.back().push_back(id_of(edge.first, q2));
+    g.marks.push_back(fair[n] | (det ? det->marks(q) & spec_marks
+                                     : nba->accepting(q) ? omega::mark_bit(0) : 0));
+  }
+  for (omega::State q0 : initial) {
+    g.initial = index.at({0, q0});
+    if (omega::find_good_loop(g, acc)) return {Outcome::Complete, false};
+  }
+  return {Outcome::Complete, true};
+}
+
 CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
   if (!c.system || c.formulas.empty()) return CheckOutcome::skip("needs a system and a spec");
   const fts::Fts sys = c.system->build();
   const fts::AtomMap atoms = c.system->atoms();
   const ltl::Formula spec = ltl::parse_formula(c.formulas[0]);
-  const fts::CheckOptions otf = oracle_check_options(budget);
-  fts::CheckOptions scc = otf;
-  scc.force_scc = true;
-  fts::CheckOptions disp = otf;
+  const fts::CheckOptions plain = oracle_check_options(budget);
+  fts::CheckOptions disp = plain;
   disp.class_dispatch = true;
-  const auto r_otf = fts::check_all(sys, {spec}, atoms, otf)[0];
-  const auto r_scc = fts::check_all(sys, {spec}, atoms, scc)[0];
+  const auto r_plain = fts::check_all(sys, {spec}, atoms, plain)[0];
   const auto r_disp = fts::check_all(sys, {spec}, atoms, disp)[0];
-  // Outcomes come first: under a deadline one engine can complete while the
-  // other runs out, so differing verdicts with a non-Complete outcome are
-  // budget exhaustion, not a discrepancy.
-  const Outcome agg = worst(worst(r_otf.outcome, r_scc.outcome), r_disp.outcome);
+  const auto [ref_outcome, ref_holds] = reference_verdict(sys, atoms, spec, plain.budget);
+  // Outcomes come first: under a deadline one leg can complete while another
+  // runs out, so differing verdicts with a non-Complete outcome are budget
+  // exhaustion, not a discrepancy.
+  const Outcome agg = worst(worst(r_plain.outcome, r_disp.outcome), ref_outcome);
   if (!is_complete(agg))
     return CheckOutcome::exhausted("engine budget exhausted (" +
                                    std::string(to_string(agg)) + ")");
-  auto verdict = [](const fts::CheckResult& r) {
-    return std::string(r.holds ? "holds" : "violated");
-  };
-  if (r_otf.holds != r_scc.holds)
-    return CheckOutcome::fail("nested-DFS and SCC engines disagree on '" + c.formulas[0] +
-                              "' (" + verdict(r_otf) + " vs " + verdict(r_scc) + ")");
+  auto verdict = [](bool holds) { return std::string(holds ? "holds" : "violated"); };
+  if (r_plain.holds != ref_holds)
+    return CheckOutcome::fail("SCC engine and the reference product disagree on '" +
+                              c.formulas[0] + "' (" + verdict(r_plain.holds) + " vs " +
+                              verdict(ref_holds) + ")");
   // The class-dispatched route (safety prefix, guarantee dual, normalization
-  // rescue) must reach the same verdict as the general engines.
-  if (r_disp.holds != r_otf.holds)
+  // rescue) must reach the same verdict as the general engine.
+  if (r_disp.holds != r_plain.holds)
     return CheckOutcome::fail("class-dispatched route disagrees on '" + c.formulas[0] +
-                              "' (" + verdict(r_otf) + " vs " + verdict(r_disp) + ")");
-  const auto single = fts::check(sys, spec, atoms, otf);
+                              "' (" + verdict(r_plain.holds) + " vs " +
+                              verdict(r_disp.holds) + ")");
+  const auto single = fts::check(sys, spec, atoms, plain);
   if (!is_complete(single.outcome))
     return CheckOutcome::exhausted("engine budget exhausted (" +
                                    std::string(to_string(single.outcome)) + ")");
-  if (single.holds != r_otf.holds)
+  if (single.holds != r_plain.holds)
     return CheckOutcome::fail("check and check_all disagree on '" + c.formulas[0] + "'");
   // Replay each engine's counterexample under ltl::evaluates: the lasso of
   // atom valuations must falsify the spec.
@@ -454,7 +536,7 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
         s |= lang::Symbol{1} << i;
     return s;
   };
-  for (const auto* r : {&r_otf, &r_scc, &r_disp}) {
+  for (const auto* r : {&r_plain, &r_disp}) {
     if (r->holds) continue;
     MPH_ASSERT(r->counterexample.has_value());
     Lasso l;
@@ -950,8 +1032,8 @@ std::vector<Oracle>& mutable_registry() {
        "direct LTL lasso evaluation vs the compiled deterministic automaton",
        gen_ltl_eval, check_ltl_eval},
       {"fts-engines",
-       "model checker: nested-DFS vs SCC engine vs class dispatch, with "
-       "counterexample replay",
+       "model checker: SCC engine vs class dispatch vs a reference product decided by "
+       "find_good_loop, with counterexample replay",
        gen_fts_engines, check_fts_engines},
       {"vacuity-antecedent",
        "MPH-Y002 antecedent labeling vs safety-prefix and ω-product checks of G ¬p",

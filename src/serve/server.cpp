@@ -274,7 +274,6 @@ fts::CheckOptions Server::check_options(const Json& request, const Budget& budge
     options.threads = static_cast<unsigned>(std::min<std::uint64_t>(
         std::max<std::uint64_t>(as_u64_field(*threads, "threads"), 1),
         config_.max_threads));
-  if (const Json* force = request.find("force_scc")) options.force_scc = force->as_bool();
   if (const Json* dispatch = request.find("class_dispatch"))
     options.class_dispatch = dispatch->as_bool();
   if (const Json* steps = request.find("normalize_steps"))
@@ -773,7 +772,6 @@ Json Server::handle_vacuity(const Json& request) {
                                  static_cast<std::uint64_t>(st.safety_prefix))
                           .field("guarantee_dual",
                                  static_cast<std::uint64_t>(st.guarantee_dual))
-                          .field("nested_dfs", static_cast<std::uint64_t>(st.nested_dfs))
                           .field("scc", static_cast<std::uint64_t>(st.scc))
                           .field("constant", static_cast<std::uint64_t>(st.constant))
                           .field("unknown", static_cast<std::uint64_t>(st.unknown))

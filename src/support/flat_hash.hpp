@@ -84,18 +84,20 @@ class FlatInterner {
     return {idx, true};
   }
 
-  /// Index of key if present.
-  bool contains(const Key& key) const {
+  /// Index of key, or size() when it is absent.
+  std::size_t find(const Key& key) const {
     const std::uint64_t h = hash_(key);
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = static_cast<std::size_t>(h) & mask;
     while (slots_[i] != kEmpty) {
       const std::uint32_t idx = slots_[i];
-      if (hashes_[idx] == h && keys_[idx] == key) return true;
+      if (hashes_[idx] == h && keys_[idx] == key) return idx;
       i = (i + 1) & mask;
     }
-    return false;
+    return keys_.size();
   }
+
+  bool contains(const Key& key) const { return find(key) != keys_.size(); }
 
   std::size_t size() const { return keys_.size(); }
   const Key& operator[](std::size_t i) const { return keys_[i]; }

@@ -1,14 +1,16 @@
 // The on-the-fly engine internals, observed through CheckStats and the batch
-// API: engine selection (nested DFS vs SCC vs the class shortcuts), early
-// exit strictly below the full product bound, counterexamples that replay,
-// budget exhaustion, and check_all agreement with sequential check —
-// sequentially and on a worker pool.
+// API: engine selection (the SCC engine vs the class shortcuts), early exit
+// strictly below the full product bound, counterexamples that replay,
+// budget exhaustion, the acceptance-mark limit, and check_all agreement with
+// sequential check — sequentially and on a worker pool.
 #include <gtest/gtest.h>
 
 #include "src/fts/checker.hpp"
 #include "src/fts/programs.hpp"
 #include "src/ltl/eval.hpp"
+#include "src/ltl/hierarchy.hpp"
 #include "src/ltl/patterns.hpp"
+#include "src/ltl/to_nba.hpp"
 
 namespace mph::fts {
 namespace {
@@ -53,12 +55,13 @@ TEST(CheckStats, BasicFieldsAreConsistent) {
 
 TEST(EngineSelection, BuchiShapedGoesOnTheFly) {
   Program prog = programs::peterson();
-  // ¬(safety) is a guarantee (Inf acceptance) -> nested DFS.
+  // ¬(safety) is a guarantee (Inf acceptance) and ¬(response) a persistence
+  // (Fin acceptance): one on-the-fly SCC engine decides both.
   auto safety = check(prog.system, parse_formula("G !(c1 & c2)"), prog.atoms);
-  EXPECT_TRUE(safety.stats.on_the_fly);
-  // ¬(response) is persistence (Fin acceptance) -> SCC good-loop engine.
+  EXPECT_EQ(safety.stats.engine, CheckEngine::Scc);
+  EXPECT_TRUE(safety.holds);
   auto response = check(prog.system, parse_formula("G(t1 -> F c1)"), prog.atoms);
-  EXPECT_FALSE(response.stats.on_the_fly);
+  EXPECT_EQ(response.stats.engine, CheckEngine::Scc);
   EXPECT_TRUE(response.holds);
 }
 
@@ -115,16 +118,16 @@ TEST(EngineSelection, RoutesOnDiningRingAndMutexModels) {
     bool holds;
   };
   const Routed cases[] = {
-      {{"dining-4", "G !(eat1 & eat2)", false}, CheckEngine::NestedDfs, true},
+      {{"dining-4", "G !(eat1 & eat2)", false}, CheckEngine::Scc, true},
       {{"dining-4", "G !(eat1 & eat2)", true}, CheckEngine::SafetyPrefix, true},
-      {{"dining-3", "G !deadlock", false}, CheckEngine::NestedDfs, false},
+      {{"dining-3", "G !deadlock", false}, CheckEngine::Scc, false},
       {{"dining-3", "G !deadlock", true}, CheckEngine::SafetyPrefix, false},
       {{"dining-3", "G(hungry1 -> F eat1)", false}, CheckEngine::Scc, false},
       {{"ring-5", "F elected", true}, CheckEngine::GuaranteeDual, true},
       {{"ring-5", "G(elected -> maxleader)", true}, CheckEngine::SafetyPrefix, true},
-      {{"ring-4", "G !quiet", false}, CheckEngine::NestedDfs, false},
-      {{"trivial-mutex", "F G (t1 & t2)", false}, CheckEngine::NestedDfs, true},
-      {{"dining-3", "(F eat1) U deadlock", false}, CheckEngine::NestedDfs, false},  // NBA
+      {{"ring-4", "G !quiet", false}, CheckEngine::Scc, false},
+      {{"trivial-mutex", "F G (t1 & t2)", false}, CheckEngine::Scc, true},
+      {{"dining-3", "(F eat1) U deadlock", false}, CheckEngine::Scc, false},  // NBA
       {{"peterson", "G(t1 -> F c1)", false}, CheckEngine::Scc, true},
   };
   for (const Routed& r : cases) {
@@ -140,39 +143,39 @@ TEST(EngineSelection, RoutesOnDiningRingAndMutexModels) {
 }
 
 TEST(EarlyExit, ViolationStopsStrictlyBelowTheProductBound) {
-  // Seeded violation: the naive dining protocol deadlocks. The nested DFS
+  // Seeded violation: the naive dining protocol deadlocks. The SCC search
   // must report it without interning the whole state-graph × automaton
   // product.
   Program prog = programs::dining_philosophers(3);
   auto spec = parse_formula("G !deadlock");
   auto result = check(prog.system, spec, prog.atoms);
   ASSERT_FALSE(result.holds);
-  EXPECT_TRUE(result.stats.on_the_fly);
+  EXPECT_EQ(result.stats.engine, CheckEngine::Scc);
   EXPECT_LT(result.stats.product_states, result.stats.product_bound);
   EXPECT_TRUE(replay_violates(prog, spec, result));
 }
 
 TEST(EarlyExit, NbaFallbackViolationReplays) {
-  // Outside the hierarchy fragment: the tableau NBA drives the same nested
-  // DFS and its counterexample must still be genuine.
+  // Outside the hierarchy fragment: the tableau NBA drives the same SCC
+  // search and its counterexample must still be genuine.
   Program prog = programs::dining_philosophers(2);
   auto spec = parse_formula("(F eat1) U deadlock");
   auto result = check(prog.system, spec, prog.atoms);
   ASSERT_FALSE(result.holds);
   EXPECT_TRUE(result.stats.nba_fallback);
-  EXPECT_TRUE(result.stats.on_the_fly);
+  EXPECT_EQ(result.stats.engine, CheckEngine::Scc);
   EXPECT_LT(result.stats.product_states, result.stats.product_bound);
   EXPECT_TRUE(replay_violates(prog, spec, result));
 }
 
 TEST(EarlyExit, CounterexamplesReplayOnDiningAndRing) {
   const Case cases[] = {
-      {"dining-3", "G !deadlock", false},           // nested-DFS lasso
+      {"dining-3", "G !deadlock", false},           // SCC lasso, exit at a merge
       {"dining-3", "G !deadlock", true},            // safety-prefix bad prefix
-      {"dining-3", "G(hungry1 -> F eat1)", false},  // SCC good loop
-      {"ring-4", "G !quiet", false},                // nested DFS on the ring
-      {"peterson", "G F c1", false},                // nested DFS, fairness marks
-      {"dining-3", "(F eat1) U deadlock", false},   // nested DFS over the NBA tableau
+      {"dining-3", "G(hungry1 -> F eat1)", false},  // Fin-shaped acceptance
+      {"ring-4", "G !quiet", false},                // SCC search on the ring
+      {"peterson", "G F c1", false},                // fairness marks
+      {"dining-3", "(F eat1) U deadlock", false},   // SCC search over the NBA tableau
   };
   for (const Case& c : cases) {
     const Program prog = model_by_name(c.model);
@@ -181,6 +184,119 @@ TEST(EarlyExit, CounterexamplesReplayOnDiningAndRing) {
     opts.class_dispatch = c.class_dispatch;
     EXPECT_TRUE(replay_violates(prog, spec, check(prog.system, spec, prog.atoms, opts)))
         << c.model << " ⊨ " << c.spec;
+  }
+}
+
+TEST(EarlyExit, DeadlockOnDining11WithinFiveThousandPairs) {
+  // The search stops at the first component whose marks satisfy the
+  // acceptance, here a deadlock's stutter self-loop: a few thousand pairs at
+  // most, against 115,468 state-graph nodes.
+  const Program prog = programs::dining_philosophers(11);
+  const auto spec = parse_formula("G !deadlock");
+  const CheckResult r = check(prog.system, spec, prog.atoms);
+  ASSERT_EQ(r.outcome, Outcome::Complete);
+  ASSERT_FALSE(r.holds);
+  EXPECT_EQ(r.stats.engine, CheckEngine::Scc);
+  EXPECT_LE(r.stats.product_states, 5000u);
+  EXPECT_TRUE(replay_violates(prog, spec, r));
+}
+
+TEST(EarlyExit, FinShapedAndMultiInitialNbaViolationsReplay) {
+  const Program prog = programs::dining_philosophers(3);
+  // ¬G(hungry1 → F eat1) is a persistence: its acceptance has Fin atoms.
+  const auto response = parse_formula("G(hungry1 -> F eat1)");
+  const auto response_alphabet = lang::Alphabet::of_props(response.atoms());
+  ASSERT_NE(ltl::compile(f_not(response), response_alphabet).acceptance().fin_marks(), 0u);
+  const CheckResult fin = check(prog.system, response, prog.atoms);
+  ASSERT_EQ(fin.outcome, Outcome::Complete);
+  ASSERT_FALSE(fin.holds);
+  EXPECT_FALSE(fin.stats.nba_fallback);
+  EXPECT_TRUE(replay_violates(prog, response, fin));
+  // Outside the fragment, with a tableau that starts in several states:
+  // each initial pair roots the same search in turn.
+  const auto until = parse_formula("(F eat1) U deadlock");
+  const auto until_alphabet = lang::Alphabet::of_props(until.atoms());
+  ASSERT_GT(ltl::to_nba(f_not(until), until_alphabet).initial_states().size(), 1u);
+  const CheckResult nba = check(prog.system, until, prog.atoms);
+  ASSERT_EQ(nba.outcome, Outcome::Complete);
+  ASSERT_FALSE(nba.holds);
+  EXPECT_TRUE(nba.stats.nba_fallback);
+  EXPECT_TRUE(replay_violates(prog, until, nba));
+}
+
+TEST(EarlyExit, FinRefinementFindsALoopInsideAClosedComponent) {
+  // x runs 0 → 1 → 2 → 0 and 2 ⇄ 3, all unfair. ¬G F x1 accepts loops that
+  // avoid x = 1. The search closes the cycle through x = 1 first, so the
+  // component's marks as a whole fail Fin; the loop 2 ⇄ 3 inside it is
+  // found when the closed component is refined.
+  Program prog;
+  const std::size_t x = prog.system.add_var("x", 0, 3, 0);
+  auto move = [&](int from, int to) {
+    prog.system.add_transition(
+        "x" + std::to_string(from) + std::to_string(to), Fairness::None,
+        [x, from](const Valuation& v) { return v[x] == from; },
+        [x, to](Valuation& v) { v[x] = to; });
+  };
+  move(0, 1);
+  move(1, 2);
+  move(2, 0);
+  move(2, 3);
+  move(3, 2);
+  prog.atoms["x1"] = var_equals(prog.system, "x", 1);
+  const auto spec = parse_formula("G F x1");
+  const CheckResult r = check(prog.system, spec, prog.atoms);
+  ASSERT_EQ(r.outcome, Outcome::Complete);
+  ASSERT_FALSE(r.holds);
+  EXPECT_TRUE(replay_violates(prog, spec, r));
+  ASSERT_TRUE(r.counterexample.has_value());
+  for (const Valuation& v : r.counterexample->loop) EXPECT_NE(v[x], 1);
+}
+
+/// One two-valued variable flipped by `weak` weakly fair transitions: its
+/// fair product needs one acceptance mark per transition.
+Program flip_system(std::size_t weak) {
+  Program prog;
+  const std::size_t v0 = prog.system.add_var("v0", 0, 1, 0);
+  for (std::size_t t = 0; t < weak; ++t)
+    prog.system.add_transition(
+        "flip" + std::to_string(t), Fairness::Weak, [](const Valuation&) { return true; },
+        [v0](Valuation& v) { v[v0] = 1 - v[v0]; });
+  prog.atoms["v0lo"] = var_equals(prog.system, "v0", 0);
+  return prog;
+}
+
+TEST(MarkLimit, SixtyFourMarksFitTheProduct) {
+  // 63 weak-fairness marks plus the Büchi mark of ¬G v0lo: exactly 64.
+  const Program prog = flip_system(63);
+  const auto spec = parse_formula("G v0lo");
+  const CheckResult r = check(prog.system, spec, prog.atoms);
+  ASSERT_EQ(r.outcome, Outcome::Complete);
+  EXPECT_FALSE(r.holds);
+  EXPECT_EQ(r.stats.engine, CheckEngine::Scc);
+  EXPECT_TRUE(replay_violates(prog, spec, r));
+}
+
+TEST(MarkLimit, PastTheLimitOnlyTheOmegaProductIsRefused) {
+  // 64 weak transitions: the safety prefix never reads fairness marks and
+  // gets its verdict; the ω-product would need 65 marks and is refused by
+  // name, with the count and the limit.
+  const Program prog = flip_system(64);
+  const auto spec = parse_formula("G v0lo");
+  CheckOptions dispatched;
+  dispatched.class_dispatch = true;
+  const CheckResult safety = check(prog.system, spec, prog.atoms, dispatched);
+  ASSERT_EQ(safety.outcome, Outcome::Complete);
+  EXPECT_FALSE(safety.holds);
+  EXPECT_EQ(safety.stats.engine, CheckEngine::SafetyPrefix);
+  try {
+    check(prog.system, spec, prog.atoms);
+    FAIL() << "the ω-product past 64 marks must be refused";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("needs 65 acceptance marks"), std::string::npos) << what;
+    EXPECT_NE(what.find("64 for fairness"), std::string::npos) << what;
+    EXPECT_NE(what.find("limit of 64"), std::string::npos) << what;
+    EXPECT_EQ(what.find("requirement failed"), std::string::npos) << what;
   }
 }
 
@@ -229,7 +345,7 @@ TEST(CheckAll, AgreesWithSequentialCheck) {
     EXPECT_EQ(batch[i].holds, single.holds) << specs[i].to_string();
     EXPECT_EQ(batch[i].stats.product_states, single.stats.product_states)
         << specs[i].to_string();
-    EXPECT_EQ(batch[i].stats.on_the_fly, single.stats.on_the_fly) << specs[i].to_string();
+    EXPECT_EQ(batch[i].stats.engine, single.stats.engine) << specs[i].to_string();
     EXPECT_EQ(batch[i].counterexample.has_value(), single.counterexample.has_value());
     if (!batch[i].holds) {
       EXPECT_TRUE(replay_violates(prog, specs[i], batch[i]));
@@ -338,7 +454,7 @@ TEST(Budgets, ExploreExhaustionReportsOneBatchDiagnostic) {
       << diags.to_text();
 }
 
-// Product exhaustion in the nested DFS: 'F G (t1 & t2)' holds on
+// Product exhaustion in the SCC search: 'F G (t1 & t2)' holds on
 // trivial-mutex with a 7-pair product over a 5-node graph, so a cap of 6
 // completes the exploration but exhausts the product search — at exactly
 // cap + 1 interned pairs.
@@ -352,7 +468,7 @@ TEST(Budgets, ProductExhaustionStopsAtCapPlusOne) {
   EXPECT_EQ(r.outcome, Outcome::BudgetStates);
   EXPECT_FALSE(r.holds);
   EXPECT_FALSE(r.counterexample.has_value());
-  EXPECT_EQ(r.stats.engine, CheckEngine::NestedDfs);
+  EXPECT_EQ(r.stats.engine, CheckEngine::Scc);
   EXPECT_EQ(r.stats.product_states, 7u);
   EXPECT_TRUE(diags.has_code("MPH-V004")) << diags.to_text();
   EXPECT_NE(diags.to_text().find("after 7 product state(s)"), std::string::npos)

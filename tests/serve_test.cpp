@@ -71,16 +71,13 @@ TEST(ServeDigest, ModelDigestIsContentAddressed) {
 
 TEST(ServeDigest, OptionsDigestKeysEngineRoutes) {
   fts::CheckOptions base;
-  fts::CheckOptions scc = base;
-  scc.force_scc = true;
   fts::CheckOptions dispatch = base;
   dispatch.class_dispatch = true;
   fts::CheckOptions steps = base;
   steps.normalize_steps = 0;
-  EXPECT_NE(options_digest(base), options_digest(scc));
   EXPECT_NE(options_digest(base), options_digest(dispatch));
   EXPECT_NE(options_digest(base), options_digest(steps));
-  EXPECT_NE(options_digest(scc), options_digest(dispatch));
+  EXPECT_NE(options_digest(steps), options_digest(dispatch));
   // Worker threads select no engine route, so they share the default key.
   fts::CheckOptions threaded = base;
   threaded.threads = 4;
@@ -134,22 +131,39 @@ TEST(ServeServer, EngineOptionVariantsAreKeyedSeparately) {
   Server server;
   const Json plain = req(server.handle_line(
       R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"]})js"));
-  const Json scc = req(server.handle_line(
-      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"force_scc":true})js"));
+  const Json steps = req(server.handle_line(
+      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"normalize_steps":0})js"));
   const Json dispatch = req(server.handle_line(
       R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"class_dispatch":true})js"));
-  EXPECT_EQ(field(*result0(scc), "cache"), "miss")
-      << "force_scc must not be served from the default route's entry";
+  EXPECT_EQ(field(*result0(steps), "cache"), "miss")
+      << "normalize_steps must not be served from the default route's entry";
   EXPECT_EQ(field(*result0(dispatch), "cache"), "miss")
       << "class_dispatch must not be served from the default route's entry";
   EXPECT_EQ(field(*result0(dispatch), "engine"), "safety-prefix");
   // Three distinct cache keys, one verdict.
   EXPECT_EQ(server.verdict_cache().size(), 3u);
   EXPECT_EQ(field(*result0(plain), "verdict"), "holds");
-  EXPECT_EQ(field(*result0(scc), "verdict"), "holds");
+  EXPECT_EQ(field(*result0(steps), "verdict"), "holds");
   EXPECT_EQ(field(*result0(dispatch), "verdict"), "holds");
-  EXPECT_NE(field(plain, "options_digest"), field(scc, "options_digest"));
+  EXPECT_NE(field(plain, "options_digest"), field(steps, "options_digest"));
   EXPECT_NE(field(plain, "options_digest"), field(dispatch, "options_digest"));
+}
+
+TEST(ServeServer, ForceSccFieldIsIgnored) {
+  // force_scc is not a check option: every ω-product check already runs the
+  // one SCC engine, so the field changes neither the route nor the cache
+  // key, and the default route's entry answers it.
+  Server server;
+  const Json plain = req(server.handle_line(
+      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"]})js"));
+  const Json forced = req(server.handle_line(
+      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"force_scc":true})js"));
+  ASSERT_TRUE(result0(plain) && result0(forced));
+  EXPECT_EQ(field(*result0(forced), "cache"), "hit");
+  EXPECT_EQ(field(*result0(forced), "verdict"), "holds");
+  EXPECT_EQ(field(*result0(forced), "engine"), "SCC");
+  EXPECT_EQ(field(plain, "options_digest"), field(forced, "options_digest"));
+  EXPECT_EQ(server.verdict_cache().size(), 1u);
 }
 
 TEST(ServeServer, ExploreThreadsFieldIsIgnored) {
@@ -333,6 +347,37 @@ TEST(ServeServer, UnsatisfiableGuardIsAStructuredBadRequest) {
       R"js("effects":[{"var":0,"src":0,"add":1}]}]},"specs":["F xhi"]})js"));
   ASSERT_TRUE(retry.find("ok")->as_bool());
   EXPECT_EQ(field(*result0(retry), "verdict"), "holds");
+}
+
+TEST(ServeServer, PastTheMarkLimitOnlyTheOmegaProductIsRefused) {
+  // 100 weakly fair transitions each flip v0: the fair product would need
+  // 100 fairness marks, past the 64 a MarkSet holds. The dispatched safety
+  // spec never reads them and gets its verdict; the ω-product check is a
+  // bad-request that names the mark count and the limit.
+  std::string transitions;
+  for (int t = 0; t < 100; ++t)
+    transitions += std::string(t ? "," : "") + R"js({"name":"f)js" + std::to_string(t) +
+                   R"js(","fairness":"weak","effects":[{"var":0,"src":0,"add":1}]})js";
+  const std::string model =
+      R"js({"vars":[{"name":"v0","lo":0,"hi":1,"init":0}],"transitions":[)js" + transitions +
+      "]}";
+  Server server;
+  const Json dispatched = req(server.handle_line(
+      R"js({"op":"check","model":)js" + model +
+      R"js(,"specs":["G v0lo"],"class_dispatch":true})js"));
+  ASSERT_TRUE(dispatched.find("ok")->as_bool()) << dispatched.dump();
+  EXPECT_EQ(field(*result0(dispatched), "verdict"), "violated");
+  EXPECT_EQ(field(*result0(dispatched), "engine"), "safety-prefix");
+  const Json refused = req(server.handle_line(
+      R"js({"op":"check","model":)js" + model + R"js(,"specs":["G v0lo"]})js"));
+  ASSERT_FALSE(refused.find("ok")->as_bool());
+  const Json* error = refused.find("error");
+  ASSERT_TRUE(error);
+  EXPECT_EQ(field(*error, "code"), "bad-request");
+  const std::string message = field(*error, "message");
+  EXPECT_NE(message.find("needs 101 acceptance marks"), std::string::npos) << message;
+  EXPECT_NE(message.find("limit of 64"), std::string::npos) << message;
+  EXPECT_EQ(message.find("requirement failed"), std::string::npos) << message;
 }
 
 // ------------------------------------------------- budgets and admission

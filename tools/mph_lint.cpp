@@ -497,8 +497,8 @@ int main(int argc, char** argv) {
                       << t.to_string() << "mutants: " << st.mutants_checked << " checked, "
                       << st.mutants_skipped << " skipped; engines: safety-prefix "
                       << st.safety_prefix << ", guarantee-dual " << st.guarantee_dual
-                      << ", nested-DFS " << st.nested_dfs << ", SCC " << st.scc
-                      << ", constant " << st.constant << "; unknown " << st.unknown << "\n\n";
+                      << ", SCC " << st.scc << ", constant " << st.constant << "; unknown "
+                      << st.unknown << "\n\n";
             for (const auto& rv : vr.requirements)
               if (rv.witness)
                 std::cout << "interesting witness for '" << rv.text << "':\n"
@@ -538,7 +538,7 @@ int main(int argc, char** argv) {
              << ", \"mutants_skipped\": " << st.mutants_skipped
              << ", \"safety_prefix\": " << st.safety_prefix
              << ", \"guarantee_dual\": " << st.guarantee_dual
-             << ", \"nested_dfs\": " << st.nested_dfs << ", \"scc\": " << st.scc
+             << ", \"scc\": " << st.scc
              << ", \"constant\": " << st.constant << ", \"unknown\": " << st.unknown
              << "}}";
           extra_json += vj.str();
