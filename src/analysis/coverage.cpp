@@ -34,19 +34,25 @@ fts::Fts without_transition(const fts::Fts& src, std::size_t removed) {
 CoverageResult analyze_coverage(const fts::Fts& system, const std::vector<ltl::Formula>& specs,
                                 const fts::AtomMap& atoms, DiagnosticEngine& out,
                                 const CoverageOptions& options) {
+  return analyze_coverage(system, fts::explore(system, fts::effective_budget(options.check)),
+                          specs, atoms, out, options);
+}
+
+CoverageResult analyze_coverage(const fts::Fts& system, const fts::ExploreResult& explored,
+                                const std::vector<ltl::Formula>& specs,
+                                const fts::AtomMap& atoms, DiagnosticEngine& out,
+                                const CoverageOptions& options) {
   CoverageResult result;
   fts::CheckOptions co = options.check;
   co.diagnostics = nullptr;
   co.class_dispatch = options.class_dispatch;
-  Budget budget = co.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(fts::kDefaultStateCap);
 
-  const auto base = fts::check_all(system, specs, atoms, co);
+  const auto base = fts::check_all(system, explored, specs, atoms, co);
   for (const auto& r : base)
     if (!is_complete(r.outcome)) result.outcome = worst(result.outcome, r.outcome);
 
-  fts::ExploreResult ex = fts::explore(system, budget);
-  result.outcome = worst(result.outcome, ex.outcome);
+  result.outcome = worst(result.outcome, fts::outcome_under_cap(
+                                             explored, fts::effective_budget(co).state_cap()));
   if (!is_complete(result.outcome)) {
     out.emit("MPH-Y005", "transition coverage",
              "the base check or exploration exhausted its budget (" +
@@ -58,7 +64,7 @@ CoverageResult analyze_coverage(const fts::Fts& system, const std::vector<ltl::F
   // A transition is reachable iff it is taken on some edge (stutter edges
   // carry the pseudo-index -1 and do not count).
   std::set<std::size_t> reachable;
-  for (const auto& edges : ex.graph.edges)
+  for (const auto& edges : explored.graph.edges)
     for (auto [target, t] : edges) {
       (void)target;
       if (t != static_cast<std::size_t>(-1)) reachable.insert(t);

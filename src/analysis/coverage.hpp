@@ -54,4 +54,13 @@ CoverageResult analyze_coverage(const fts::Fts& system, const std::vector<ltl::F
                                 const fts::AtomMap& atoms, DiagnosticEngine& out,
                                 const CoverageOptions& options = {});
 
+/// analyze_coverage over a graph the caller explored (under a state cap at
+/// least options.check's; see fts::check_all): the base check and the
+/// reachable-transition scan read `explored`. Each variant is a different
+/// system and is still explored on its own.
+CoverageResult analyze_coverage(const fts::Fts& system, const fts::ExploreResult& explored,
+                                const std::vector<ltl::Formula>& specs,
+                                const fts::AtomMap& atoms, DiagnosticEngine& out,
+                                const CoverageOptions& options = {});
+
 }  // namespace mph::analysis

@@ -58,6 +58,24 @@ bool variable_read(const fts::Fts& sys, const fts::StateGraph& sg, std::size_t v
 
 void lint_fts(const fts::Fts& sys, std::string_view subject, DiagnosticEngine& out,
               const FtsLintOptions& options) {
+  fts::ExploreResult ex;
+  if (sys.var_count() > 0) {
+    try {
+      ex = fts::explore(sys, Budget().with_state_cap(options.max_states));
+    } catch (const std::invalid_argument& e) {
+      // A system that can throw here has transitions, so MPH-F001 is moot.
+      auto& d = out.emit("MPH-F007", subject,
+                         "state-graph exploration failed; semantic lint is incomplete");
+      d.witness = e.what();
+      d.fix_hint = "raise the exploration limit or shrink variable domains";
+      return;
+    }
+  }
+  lint_fts(sys, ex, subject, out, options);
+}
+
+void lint_fts(const fts::Fts& sys, const fts::ExploreResult& explored, std::string_view subject,
+              DiagnosticEngine& out, const FtsLintOptions& options) {
   if (sys.var_count() == 0 || sys.transition_count() == 0) {
     auto& d = out.emit("MPH-F001", subject,
                        sys.var_count() == 0 ? "the system declares no variables"
@@ -68,26 +86,16 @@ void lint_fts(const fts::Fts& sys, std::string_view subject, DiagnosticEngine& o
     if (sys.var_count() == 0) return;
   }
 
-  fts::StateGraph sg;
-  try {
-    fts::ExploreResult ex =
-        fts::explore(sys, Budget().with_state_cap(options.max_states));
-    if (!is_complete(ex.outcome)) {
-      auto& d = out.emit("MPH-F007", subject,
-                         "state-graph exploration failed; semantic lint is incomplete");
-      d.witness = "budget exhausted (" + std::string(to_string(ex.outcome)) + ") after " +
-                  std::to_string(ex.graph.nodes.size()) + " state(s)";
-      d.fix_hint = "raise the exploration limit or shrink variable domains";
-      return;
-    }
-    sg = std::move(ex.graph);
-  } catch (const std::invalid_argument& e) {
+  if (Outcome o = fts::outcome_under_cap(explored, options.max_states); !is_complete(o)) {
     auto& d = out.emit("MPH-F007", subject,
                        "state-graph exploration failed; semantic lint is incomplete");
-    d.witness = e.what();
+    d.witness = "budget exhausted (" + std::string(to_string(o)) + ") after " +
+                std::to_string(std::min(explored.graph.nodes.size(), options.max_states)) +
+                " state(s)";
     d.fix_hint = "raise the exploration limit or shrink variable domains";
     return;
   }
+  const fts::StateGraph& sg = explored.graph;
 
   // Per-transition enabledness over the reachable graph.
   std::vector<bool> ever_enabled(sys.transition_count(), false);

@@ -34,7 +34,16 @@ struct FtsLintOptions {
   std::size_t max_probe_states = 256;
 };
 
+/// Explores `system` under `options.max_states` and lints the graph.
 void lint_fts(const fts::Fts& system, std::string_view subject, DiagnosticEngine& out,
+              const FtsLintOptions& options = {});
+
+/// Lints a graph the caller explored (one exploration shared with the
+/// checker): `explored` is read under `options.max_states` through
+/// fts::outcome_under_cap, so a graph explored under a larger cap reports
+/// MPH-F007 exactly as an exploration capped at max_states would.
+void lint_fts(const fts::Fts& system, const fts::ExploreResult& explored,
+              std::string_view subject, DiagnosticEngine& out,
               const FtsLintOptions& options = {});
 
 }  // namespace mph::analysis

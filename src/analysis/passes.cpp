@@ -17,6 +17,9 @@ Subject Subject::of(const lang::Dfa& d, std::string name) {
 Subject Subject::of(const fts::Fts& f, std::string name) {
   return Subject(Kind::Fts, std::move(name), &f);
 }
+Subject Subject::of(const fts::Fts& f, const fts::ExploreResult& explored, std::string name) {
+  return Subject(Kind::Fts, std::move(name), &f, &explored);
+}
 Subject Subject::of(const std::vector<ltl::Formula>& spec, std::string name) {
   return Subject(Kind::Spec, std::move(name), &spec);
 }
@@ -105,7 +108,10 @@ const Pass kPasses[] = {
     {"fts-lint", "dead transitions, unused variables, vacuous fairness, deadlocks",
      Subject::Kind::Fts, kFtsCodes,
      [](const Subject& s, DiagnosticEngine& out, const AnalysisOptions& opts) {
-       lint_fts(s.fts(), s.name(), out, opts.fts);
+       if (s.explored())
+         lint_fts(s.fts(), *s.explored(), s.name(), out, opts.fts);
+       else
+         lint_fts(s.fts(), s.name(), out, opts.fts);
      }},
     {"spec-lint", "satisfiability, redundancy, class downgrades and the hierarchy checklist",
      Subject::Kind::Spec, kSpecCodes,

@@ -55,6 +55,9 @@ class Subject {
   static Subject of(const omega::Nba& n, std::string name);
   static Subject of(const lang::Dfa& d, std::string name);
   static Subject of(const fts::Fts& f, std::string name);
+  /// An Fts together with its explored state graph: the `fts-lint` pass
+  /// reads `explored` instead of exploring again (fts_lint.hpp).
+  static Subject of(const fts::Fts& f, const fts::ExploreResult& explored, std::string name);
   static Subject of(const std::vector<ltl::Formula>& spec, std::string name);
   static Subject of(const CheckedSpec& cs, std::string name);
   /// A *symbolic* system description (guards/effects inspectable), the IR
@@ -67,16 +70,20 @@ class Subject {
   const omega::Nba& nba() const;
   const lang::Dfa& dfa() const;
   const fts::Fts& fts() const;
+  /// The state graph handed to Subject::of with an Fts, or nullptr.
+  const fts::ExploreResult* explored() const { return explored_; }
   const std::vector<ltl::Formula>& spec() const;
   const CheckedSpec& checked_spec() const;
   const fts::FtsSpec& spec_model() const;
 
  private:
-  Subject(Kind kind, std::string name, const void* ptr)
-      : kind_(kind), name_(std::move(name)), ptr_(ptr) {}
+  Subject(Kind kind, std::string name, const void* ptr,
+          const fts::ExploreResult* explored = nullptr)
+      : kind_(kind), name_(std::move(name)), ptr_(ptr), explored_(explored) {}
   Kind kind_;
   std::string name_;
   const void* ptr_;
+  const fts::ExploreResult* explored_;
 };
 
 struct Pass {

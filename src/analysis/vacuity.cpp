@@ -133,19 +133,38 @@ std::optional<Budgeted<bool>> antecedent_exercised(const fts::Fts& system,
                                                    const ltl::Formula& requirement,
                                                    const fts::AtomMap& atoms,
                                                    const Budget& budget) {
+  if (!antecedent_of(requirement)) return std::nullopt;
+  return antecedent_exercised(system, fts::explore(system, budget), requirement, atoms,
+                              budget);
+}
+
+std::optional<Budgeted<bool>> antecedent_exercised(const fts::Fts& system,
+                                                   const fts::ExploreResult& explored,
+                                                   const ltl::Formula& requirement,
+                                                   const fts::AtomMap& atoms,
+                                                   const Budget& budget) {
   const Formula* p = antecedent_of(requirement);
   if (!p) return std::nullopt;
   for (const auto& name : p->atoms())
     MPH_REQUIRE(atoms.contains(name), "antecedent atom not defined: " + name);
-  fts::ExploreResult ex = fts::explore(system, budget);
-  if (!is_complete(ex.outcome)) return Budgeted<bool>{std::nullopt, ex.outcome};
-  for (const auto& node : ex.graph.nodes)
+  if (Outcome o = fts::outcome_under_cap(explored, budget.state_cap()); !is_complete(o))
+    return Budgeted<bool>{std::nullopt, o};
+  for (const auto& node : explored.graph.nodes)
     if (eval_state(*p, system, atoms, node.valuation, node.last_taken))
       return Budgeted<bool>{true, Outcome::Complete};
   return Budgeted<bool>{false, Outcome::Complete};
 }
 
 VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::Formula>& specs,
+                              const fts::AtomMap& atoms, DiagnosticEngine& out,
+                              const VacuityOptions& options) {
+  if (specs.empty()) return {};
+  return analyze_vacuity(system, fts::explore(system, fts::effective_budget(options.check)),
+                         specs, atoms, out, options);
+}
+
+VacuityResult analyze_vacuity(const fts::Fts& system, const fts::ExploreResult& explored,
+                              const std::vector<ltl::Formula>& specs,
                               const fts::AtomMap& atoms, DiagnosticEngine& out,
                               const VacuityOptions& options) {
   VacuityResult result;
@@ -155,10 +174,9 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
   fts::CheckOptions co = options.check;
   co.diagnostics = nullptr;  // only MPH-Y findings leave this analyzer
   co.class_dispatch = options.class_dispatch;
-  Budget budget = co.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(fts::kDefaultStateCap);
+  const Budget budget = fts::effective_budget(co);
 
-  const auto originals = fts::check_all(system, specs, atoms, co);
+  const auto originals = fts::check_all(system, explored, specs, atoms, co);
 
   // Mutant batch: one check_all over every mutant of every requirement, so
   // exploration / label caches / worker pool are shared across the lot.
@@ -191,7 +209,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
     // Fast path: a □(p→q) whose antecedent no reachable state satisfies is
     // vacuously true — equivalent to □(false→q) — with no mutation at all.
     if (options.antecedent_fast_path) {
-      if (auto exercised = antecedent_exercised(system, specs[i], atoms, budget);
+      if (auto exercised = antecedent_exercised(system, explored, specs[i], atoms, budget);
           exercised && exercised->complete() && !*exercised->value) {
         rv.verdict = RequirementVacuity::Verdict::Vacuous;
         rv.antecedent_failure = true;
@@ -252,7 +270,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
     }
   }
 
-  const auto mutant_results = fts::check_all(system, batch, atoms, co);
+  const auto mutant_results = fts::check_all(system, explored, batch, atoms, co);
   for (std::size_t k = 0; k < batch.size(); ++k) {
     auto [i, j] = owner[k];
     MutantCheck& mc = result.requirements[i].mutants[j];

@@ -9,11 +9,13 @@
 // satisfying the requirement but violating the mutant — is an *interesting
 // witness* (MPH-Y003), replayable like any counterexample.
 //
-// Cost model: all mutants of all requirements go through ONE fts::check_all
-// batch, so exploration, atom-label caches and the worker pool are paid once
-// per model; class-aware dispatch (CheckOptions::class_dispatch) then routes
-// safety mutants to the closed-prefix scan and guarantee mutants through
-// duality, keeping most mutants off the ω-product path entirely. The
+// Cost model: the model is explored once, and the requirements, the
+// antecedent scans and ONE fts::check_all batch over all mutants of all
+// requirements read that graph, so exploration, atom-label caches and the
+// worker pool are paid once per model; class-aware dispatch
+// (CheckOptions::class_dispatch) then routes safety mutants to the
+// closed-prefix scan and guarantee mutants through duality, keeping most
+// mutants off the ω-product path entirely. The
 // □(p→q) antecedent shape short-circuits without any mutation: one
 // reachable-state labeling decides whether p is ever exercised (MPH-Y002).
 //
@@ -115,10 +117,27 @@ std::optional<Budgeted<bool>> antecedent_exercised(const fts::Fts& system,
                                                    const fts::AtomMap& atoms,
                                                    const Budget& budget);
 
+/// antecedent_exercised over a graph the caller explored, read under
+/// `budget`'s state cap (fts::outcome_under_cap).
+std::optional<Budgeted<bool>> antecedent_exercised(const fts::Fts& system,
+                                                   const fts::ExploreResult& explored,
+                                                   const ltl::Formula& requirement,
+                                                   const fts::AtomMap& atoms,
+                                                   const Budget& budget);
+
 /// Analyzes every requirement that holds on the system and reports
 /// MPH-Y001/Y002/Y003/Y005 through `out`. Requirements that fail or exhaust
 /// their budget come back as Violated / Unknown and are not mutated.
 VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::Formula>& specs,
+                              const fts::AtomMap& atoms, DiagnosticEngine& out,
+                              const VacuityOptions& options = {});
+
+/// analyze_vacuity over a graph the caller explored (under a state cap at
+/// least options.check's; see fts::check_all): the requirement checks, the
+/// antecedent scans and the mutant batch all read `explored`. The form
+/// above explores once and forwards here.
+VacuityResult analyze_vacuity(const fts::Fts& system, const fts::ExploreResult& explored,
+                              const std::vector<ltl::Formula>& specs,
                               const fts::AtomMap& atoms, DiagnosticEngine& out,
                               const VacuityOptions& options = {});
 

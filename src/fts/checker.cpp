@@ -792,77 +792,65 @@ std::vector<std::string> validated_atoms(const ltl::Formula& spec, const AtomMap
   return atom_names;
 }
 
-}  // namespace
-
-CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
-                  const CheckOptions& options) {
-  return std::move(check_all(system, {spec}, atoms, options).front());
+/// Exploration-free proofs: any spec the static prover certifies is done —
+/// stamped StaticProof/Complete with zero states — before a single node is
+/// expanded. Marks it in `resolved`; returns how many specs it settled.
+std::size_t prove_statically(const std::vector<ltl::Formula>& specs, const AtomMap& atoms,
+                             const CheckOptions& options, std::vector<CheckResult>& results,
+                             std::vector<char>& resolved) {
+  std::size_t n_resolved = 0;
+  if (!options.static_prover) return n_resolved;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    validated_atoms(specs[i], atoms);  // same vocabulary contract as the engines
+    auto proved = options.static_prover(specs[i]);
+    if (!proved) continue;
+    CheckResult r = std::move(*proved);
+    MPH_REQUIRE(r.holds, "static_prover must only certify specs that hold");
+    r.outcome = r.stats.outcome = Outcome::Complete;
+    r.stats.engine = CheckEngine::StaticProof;
+    r.stats.state_graph_nodes = 0;
+    r.product_states = r.stats.product_states = r.stats.product_bound = 0;
+    r.counterexample.reset();
+    results[i] = std::move(r);
+    resolved[i] = 1;
+    ++n_resolved;
+    if (options.diagnostics)
+      options.diagnostics->emit("MPH-V005", specs[i].to_string(),
+                                "proved from the interval invariant; 0 states explored");
+  }
+  return n_resolved;
 }
 
-std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::Formula>& specs,
-                                   const AtomMap& atoms, const CheckOptions& options) {
-  std::vector<CheckResult> results(specs.size());
-  if (specs.empty()) return results;
-
-  // Exploration-free proofs first: any spec the static prover certifies is
-  // done — stamped StaticProof/Complete with zero states — before a single
-  // node is expanded.
-  std::vector<char> resolved(specs.size(), 0);
-  std::size_t n_resolved = 0;
-  if (options.static_prover) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      validated_atoms(specs[i], atoms);  // same vocabulary contract as the engines
-      auto proved = options.static_prover(specs[i]);
-      if (!proved) continue;
-      CheckResult r = std::move(*proved);
-      MPH_REQUIRE(r.holds, "static_prover must only certify specs that hold");
-      r.outcome = r.stats.outcome = Outcome::Complete;
-      r.stats.engine = CheckEngine::StaticProof;
-      r.stats.state_graph_nodes = 0;
-      r.product_states = r.stats.product_states = r.stats.product_bound = 0;
-      r.counterexample.reset();
-      results[i] = std::move(r);
-      resolved[i] = 1;
-      ++n_resolved;
-      if (options.diagnostics)
-        options.diagnostics->emit("MPH-V005", specs[i].to_string(),
-                                  "proved from the interval invariant; 0 states explored");
-    }
-    if (n_resolved == specs.size()) return results;
-  }
-
-  // Effective budget: options.budget, with kDefaultStateCap when the budget
-  // itself carries no state cap.
-  Budget budget = options.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(kDefaultStateCap);
-
-  // Shared phases: one exploration, one fairness frame, one label cache per
-  // distinct atom vocabulary.
-  auto t_explore = Clock::now();
-  ExploreResult ex = explore(system, budget);
-  const double explore_seconds = elapsed(t_explore);
-  if (!is_complete(ex.outcome)) {
+/// Checks every spec not yet `resolved` against the explored graph `ex`,
+/// read under the check's own state cap (outcome_under_cap).
+void check_explored(const Fts& system, const ExploreResult& ex,
+                    const std::vector<ltl::Formula>& specs, const AtomMap& atoms,
+                    const CheckOptions& options, std::vector<CheckResult>& results,
+                    const std::vector<char>& resolved) {
+  const Budget budget = effective_budget(options);
+  const Outcome explored = outcome_under_cap(ex, budget.state_cap());
+  if (!is_complete(explored)) {
     // The shared exploration ran out of budget: every spec in the batch not
     // already proved statically gets the same unknown verdict, before any
     // worker thread starts — so the result (and the single MPH-V004) is
     // identical for threads == 1 and N.
+    const std::size_t nodes = std::min(ex.graph.nodes.size(), budget.state_cap());
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (resolved[i]) continue;
       auto& r = results[i];
-      r.outcome = r.stats.outcome = ex.outcome;
-      r.stats.state_graph_nodes = ex.graph.nodes.size();
-      r.stats.explore_seconds = explore_seconds;
+      r.outcome = r.stats.outcome = explored;
+      r.stats.state_graph_nodes = nodes;
+      r.stats.explore_seconds = ex.seconds;
     }
     if (options.diagnostics) {
       auto& d = options.diagnostics->emit(
           "MPH-V004", "state-graph exploration",
-          "budget exhausted (" + std::string(to_string(ex.outcome)) + ") after " +
-              std::to_string(ex.graph.nodes.size()) +
-              " system state(s); every spec in the batch is unverified");
+          "budget exhausted (" + std::string(to_string(explored)) + ") after " +
+              std::to_string(nodes) + " system state(s); every spec in the batch is unverified");
       d.fix_hint = "raise CheckOptions::budget (state cap / deadline) or shrink "
                    "variable domains";
     }
-    return results;
+    return;
   }
   const StateGraph& sg = ex.graph;
   const FairnessFrame fair(system, sg);
@@ -886,7 +874,7 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
   auto run_one = [&](std::size_t i, analysis::DiagnosticEngine* engine) {
     CheckResult r = check_one(sg, fair, *cache_of[i], specs[i],
                               budget, options, engine);
-    r.stats.explore_seconds = explore_seconds;
+    r.stats.explore_seconds = ex.seconds;
     r.stats.label_seconds = cache_of[i]->seconds;
     results[i] = std::move(r);
   };
@@ -896,7 +884,7 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
   if (threads <= 1) {
     for (std::size_t i = 0; i < specs.size(); ++i)
       if (!resolved[i]) run_one(i, options.diagnostics);
-    return results;
+    return;
   }
 
   // Worker pool over independent specs. Each spec reports into its own
@@ -926,6 +914,38 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
   if (first_error) std::rethrow_exception(first_error);
   if (options.diagnostics)
     for (const auto& engine : engines) options.diagnostics->merge(engine);
+}
+
+}  // namespace
+
+Budget effective_budget(const CheckOptions& options) {
+  Budget budget = options.budget;
+  if (!budget.has_state_cap()) budget.with_state_cap(kDefaultStateCap);
+  return budget;
+}
+
+CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
+                  const CheckOptions& options) {
+  return std::move(check_all(system, {spec}, atoms, options).front());
+}
+
+std::vector<CheckResult> check_all(const Fts& system, const ExploreResult& explored,
+                                   const std::vector<ltl::Formula>& specs,
+                                   const AtomMap& atoms, const CheckOptions& options) {
+  std::vector<CheckResult> results(specs.size());
+  std::vector<char> resolved(specs.size(), 0);
+  if (prove_statically(specs, atoms, options, results, resolved) < specs.size())
+    check_explored(system, explored, specs, atoms, options, results, resolved);
+  return results;
+}
+
+std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::Formula>& specs,
+                                   const AtomMap& atoms, const CheckOptions& options) {
+  std::vector<CheckResult> results(specs.size());
+  std::vector<char> resolved(specs.size(), 0);
+  if (prove_statically(specs, atoms, options, results, resolved) < specs.size())
+    check_explored(system, explore(system, effective_budget(options)), specs, atoms, options,
+                   results, resolved);
   return results;
 }
 

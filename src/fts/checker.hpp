@@ -148,11 +148,29 @@ struct CheckOptions {
   analysis::DiagnosticEngine* diagnostics = nullptr;
 };
 
-/// Batch variant of `check`: explores the state graph once, shares atom-label
+/// The budget a check runs under: options.budget, with kDefaultStateCap when
+/// the budget itself carries no state cap.
+Budget effective_budget(const CheckOptions& options);
+
+/// Batch variant of `check`: consults `options.static_prover`, explores the
+/// state graph once (only when some spec is left unproved), shares atom-label
 /// caches between specs over the same vocabulary, and checks the (mutually
 /// independent) specs on a worker pool of `options.threads` threads.
 /// results[i] corresponds to specs[i].
 std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::Formula>& specs,
+                                   const AtomMap& atoms, const CheckOptions& options = {});
+
+/// check_all over a graph the caller already explored, so one exploration
+/// can serve model lint, several batches, vacuity and coverage. `explored`
+/// must come from explore(system, …) under a state cap at least the
+/// check's own (options.budget's, or kDefaultStateCap): the check reads it
+/// through outcome_under_cap, so a larger graph gives exactly the result of
+/// exploring under the check's cap — BudgetStates after that many system
+/// states — and a smaller, capped one reports its own partial outcome.
+/// Stats report `explored.seconds` as the exploration time. The static
+/// prover still runs first, and the graph is never copied.
+std::vector<CheckResult> check_all(const Fts& system, const ExploreResult& explored,
+                                   const std::vector<ltl::Formula>& specs,
                                    const AtomMap& atoms, const CheckOptions& options = {});
 
 /// Checks that every fair computation satisfies `spec`. The atoms of `spec`

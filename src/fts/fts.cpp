@@ -1,5 +1,6 @@
 #include "src/fts/fts.hpp"
 
+#include <chrono>
 #include <deque>
 
 #include "src/support/flat_hash.hpp"
@@ -83,10 +84,9 @@ struct NodeKeyHash {
   }
 };
 
-}  // namespace
-
-ExploreResult explore(const Fts& system, const Budget& budget) {
-  ExploreResult res;
+/// The BFS behind `explore`: fills `res` and returns as soon as the budget
+/// refuses a node or the deadline passes.
+void bfs(const Fts& system, const Budget& budget, ExploreResult& res) {
   StateGraph& g = res.graph;
   FlatInterner<std::pair<Valuation, int>, NodeKeyHash> index;
   std::deque<std::size_t> queue;
@@ -108,11 +108,11 @@ ExploreResult explore(const Fts& system, const Budget& budget) {
     }
     return idx;
   };
-  if (!intern(system.initial_valuation(), StateGraph::kNone)) return res;
+  if (!intern(system.initial_valuation(), StateGraph::kNone)) return;
   while (!queue.empty()) {
     if (Outcome o = budget.poll(); !is_complete(o)) {
       res.outcome = o;
-      return res;
+      return;
     }
     std::size_t n = queue.front();
     queue.pop_front();
@@ -124,7 +124,7 @@ ExploreResult explore(const Fts& system, const Budget& budget) {
       if (!en[t]) continue;
       any = true;
       std::optional<std::size_t> target = intern(system.apply(t, v), static_cast<int>(t));
-      if (!target) return res;
+      if (!target) return;
       g.edges[n].push_back({*target, t});
     }
     g.enabled[n] = std::move(en);
@@ -134,7 +134,20 @@ ExploreResult explore(const Fts& system, const Budget& budget) {
       g.stutters[n] = true;
     }
   }
+}
+
+}  // namespace
+
+ExploreResult explore(const Fts& system, const Budget& budget) {
+  const auto start = std::chrono::steady_clock::now();
+  ExploreResult res;
+  bfs(system, budget, res);
+  res.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return res;
+}
+
+Outcome outcome_under_cap(const ExploreResult& ex, std::size_t cap) {
+  return ex.graph.nodes.size() > cap ? Outcome::BudgetStates : ex.outcome;
 }
 
 AtomFn var_equals(const Fts& system, std::string_view var, int value) {

@@ -92,12 +92,21 @@ struct StateGraph {
 struct ExploreResult {
   StateGraph graph;
   Outcome outcome = Outcome::Complete;
+  double seconds = 0.0;  ///< wall time of the exploration
 };
 
 /// Budget-governed BFS exploration: stops at the budget's state cap /
 /// deadline / cancellation and reports how far it got (docs/BUDGETS.md).
 /// Domain violations still throw std::invalid_argument.
 ExploreResult explore(const Fts& system, const Budget& budget);
+
+/// The outcome `explore` reports under a state cap of `cap`, read off a
+/// graph explored under a cap >= `cap`. BFS discovery order does not depend
+/// on the cap, so the capped run is exactly the first `cap` nodes of `ex`:
+/// more than `cap` nodes read as BudgetStates after `cap` of them
+/// (min(ex.graph.nodes.size(), cap)); otherwise `ex.outcome` stands. This is
+/// how one exploration serves consumers with different caps.
+Outcome outcome_under_cap(const ExploreResult& ex, std::size_t cap);
 
 /// Atomic state predicate over (valuation, last-taken transition).
 using AtomFn = std::function<bool(const Fts&, const Valuation&, int last_taken)>;

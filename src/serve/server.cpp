@@ -212,7 +212,7 @@ ResolvedModel resolve_model(const Json& model) {
     const std::string& name = model.as_string();
     auto from = [&](fts::programs::Program program) {
       return ResolvedModel{std::move(program.system), std::move(program.atoms),
-                           builtin_model_digest(name), name};
+                           builtin_model_digest(name), name, std::nullopt};
     };
     if (name == "peterson") return from(fts::programs::peterson());
     if (name == "trivial-mutex") return from(fts::programs::trivial_mutex());
@@ -236,7 +236,8 @@ ResolvedModel resolve_model(const Json& model) {
     throw std::invalid_argument("unknown model '" + name + "'");
   }
   fuzz::FtsSpec spec = fts_spec_from_json(model);
-  ResolvedModel resolved{spec.build(), spec.atoms(), model_digest(spec), "(inline)"};
+  ResolvedModel resolved{spec.build(), spec.atoms(), model_digest(spec), "(inline)",
+                         std::nullopt};
   resolved.spec = std::move(spec);
   return resolved;
 }

@@ -441,6 +441,37 @@ TEST(FtsLint, F007ExplorationBudgetExceeded) {
   EXPECT_TRUE(e.has_code("MPH-F007")) << e.to_text();
 }
 
+// One exploration serves lint under any smaller cap: a dining-4 graph
+// explored under the default cap, linted with max_states = 40, reports the
+// MPH-F007 an exploration capped at 40 reports.
+TEST(FtsLint, SharedGraphReadsUnderTheLintCap) {
+  const auto prog = fts::programs::dining(4);
+  const fts::ExploreResult ex =
+      fts::explore(prog.system, Budget().with_state_cap(fts::kDefaultStateCap));
+  ASSERT_TRUE(is_complete(ex.outcome));
+  ASSERT_GT(ex.graph.nodes.size(), 40u);
+  analysis::FtsLintOptions opts;
+  opts.max_states = 40;
+  DiagnosticEngine shared, own;
+  analysis::lint_fts(prog.system, ex, "dining-4", shared, opts);
+  analysis::lint_fts(prog.system, "dining-4", own, opts);
+  ASSERT_TRUE(shared.has_code("MPH-F007")) << shared.to_text();
+  EXPECT_NE(shared.to_text().find("after 40 state(s)"), std::string::npos) << shared.to_text();
+  EXPECT_EQ(shared.to_text(), own.to_text());
+}
+
+// Under the default cap the shared graph gives the full lint, through the
+// pass registry as well as directly.
+TEST(FtsLint, SharedGraphMatchesOwnExploration) {
+  const auto prog = fts::programs::dining(4);
+  const fts::ExploreResult ex = fts::explore(prog.system, Budget().with_state_cap(300000));
+  DiagnosticEngine shared, own;
+  analysis::run_passes(analysis::Subject::of(prog.system, ex, "model 'dining-4'"), shared);
+  analysis::run_passes(analysis::Subject::of(prog.system, "model 'dining-4'"), own);
+  EXPECT_TRUE(own.has_code("MPH-F006")) << own.to_text();
+  EXPECT_EQ(shared.to_text(), own.to_text());
+}
+
 // ------------------------------------------------------------------ spec --
 
 std::vector<ltl::Formula> parse_all(const std::vector<std::string>& texts) {

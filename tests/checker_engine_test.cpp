@@ -1,8 +1,9 @@
 // The on-the-fly engine internals, observed through CheckStats and the batch
 // API: engine selection (the SCC engine vs the class shortcuts), early exit
 // strictly below the full product bound, counterexamples that replay,
-// budget exhaustion, the acceptance-mark limit, and check_all agreement with
-// sequential check — sequentially and on a worker pool.
+// budget exhaustion, the acceptance-mark limit, check_all agreement with
+// sequential check — sequentially and on a worker pool — and check_all over
+// a graph explored once, read under the check's own state cap.
 #include <gtest/gtest.h>
 
 #include "src/fts/checker.hpp"
@@ -537,6 +538,122 @@ TEST(Budgets, ExhaustionIsDeterministicAcrossThreadCounts) {
   ASSERT_EQ(par_diags.size(), seq_diags.size());
   for (std::size_t i = 0; i < seq_diags.size(); ++i)
     EXPECT_EQ(par_diags.diagnostics()[i].code, seq_diags.diagnostics()[i].code);
+}
+
+
+// --- one exploration, many consumers -----------------------------------------
+// check_all over a caller-explored graph must be the four-argument form
+// exactly: same verdict, outcome, engine, product size and counterexample,
+// with and without class dispatch, on every model family.
+TEST(SharedGraph, GivenGraphMatchesTheExploringForm) {
+  const std::vector<std::string> dining_specs = {"G !deadlock", "G(hungry1 -> F eat1)",
+                                                 "G !(eat1 & eat2)", "G(eat1 -> F !eat1)"};
+  const std::vector<std::string> ring_specs = {"F elected", "G(elected -> maxleader)",
+                                               "G !elected", "G !quiet"};
+  const std::vector<std::string> mutex_specs = {"G !(c1 & c2)", "G(t1 -> F c1)", "G !c1",
+                                                "G F c1"};
+  std::vector<std::pair<Program, const std::vector<std::string>*>> cases;
+  for (std::size_t n = 3; n <= 6; ++n) cases.emplace_back(programs::dining(n), &dining_specs);
+  for (std::size_t n = 4; n <= 6; ++n)
+    cases.emplace_back(programs::ring_leader(n), &ring_specs);
+  cases.emplace_back(programs::peterson(), &mutex_specs);
+  cases.emplace_back(programs::semaphore_mutex(3, Fairness::Weak), &mutex_specs);
+  cases.emplace_back(programs::semaphore_mutex(3, Fairness::Strong), &mutex_specs);
+
+  for (const auto& [prog, texts] : cases) {
+    std::vector<ltl::Formula> specs;
+    for (const auto& t : *texts) specs.push_back(parse_formula(t));
+    for (bool dispatch : {false, true}) {
+      CheckOptions opts;
+      opts.class_dispatch = dispatch;
+      const ExploreResult ex = explore(prog.system, effective_budget(opts));
+      ASSERT_TRUE(is_complete(ex.outcome));
+      const auto shared = check_all(prog.system, ex, specs, prog.atoms, opts);
+      const auto own = check_all(prog.system, specs, prog.atoms, opts);
+      ASSERT_EQ(shared.size(), own.size());
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::string where = (*texts)[i] + (dispatch ? " (dispatch)" : "");
+        EXPECT_EQ(shared[i].holds, own[i].holds) << where;
+        EXPECT_EQ(shared[i].outcome, own[i].outcome) << where;
+        EXPECT_EQ(shared[i].stats.engine, own[i].stats.engine) << where;
+        EXPECT_EQ(shared[i].stats.product_states, own[i].stats.product_states) << where;
+        EXPECT_EQ(shared[i].stats.state_graph_nodes, ex.graph.nodes.size()) << where;
+        EXPECT_EQ(shared[i].stats.explore_seconds, ex.seconds) << where;
+        ASSERT_EQ(shared[i].counterexample.has_value(), own[i].counterexample.has_value())
+            << where;
+        if (own[i].counterexample) {
+          EXPECT_EQ(shared[i].counterexample->prefix, own[i].counterexample->prefix) << where;
+          EXPECT_EQ(shared[i].counterexample->loop, own[i].counterexample->loop) << where;
+        }
+      }
+    }
+  }
+}
+
+// A graph explored under the default cap, checked under a cap of 60, reads
+// exactly as an exploration capped at 60: BudgetStates, 60 nodes, and the
+// same batch-level MPH-V004 as ExploreExhaustionReportsOneBatchDiagnostic.
+TEST(SharedGraph, LargerGraphReadsAsTheCappedExploration) {
+  const Program prog = programs::dining_philosophers(4);
+  const ExploreResult ex = explore(prog.system, Budget().with_state_cap(kDefaultStateCap));
+  ASSERT_TRUE(is_complete(ex.outcome));
+  ASSERT_GT(ex.graph.nodes.size(), 60u);
+  EXPECT_EQ(outcome_under_cap(ex, 60), Outcome::BudgetStates);
+  EXPECT_EQ(outcome_under_cap(ex, ex.graph.nodes.size()), Outcome::Complete);
+
+  const std::vector<ltl::Formula> specs = {parse_formula("G !(eat1 & eat2)")};
+  analysis::DiagnosticEngine shared_diags, own_diags;
+  CheckOptions opts;
+  opts.budget.with_state_cap(60);
+  opts.diagnostics = &shared_diags;
+  const CheckResult r = check_all(prog.system, ex, specs, prog.atoms, opts).front();
+  opts.diagnostics = &own_diags;
+  const CheckResult own = check_all(prog.system, specs, prog.atoms, opts).front();
+  EXPECT_EQ(r.outcome, Outcome::BudgetStates);
+  EXPECT_FALSE(r.holds);
+  EXPECT_FALSE(r.counterexample.has_value());
+  EXPECT_EQ(r.stats.state_graph_nodes, 60u);
+  EXPECT_EQ(own.stats.state_graph_nodes, 60u);
+  ASSERT_EQ(shared_diags.size(), 1u) << shared_diags.to_text();
+  EXPECT_EQ(shared_diags.diagnostics()[0].code, "MPH-V004");
+  EXPECT_NE(shared_diags.diagnostics()[0].message.find("after 60 system state(s)"),
+            std::string::npos)
+      << shared_diags.to_text();
+  EXPECT_EQ(shared_diags.to_text(), own_diags.to_text());
+}
+
+// A batch the static prover settles entirely never explores: the exploring
+// form would throw on this system's first step (an effect leaves the
+// domain), and every result reports 0 states.
+TEST(SharedGraph, FullyStaticBatchExploresNothing) {
+  Fts sys;
+  const std::size_t x = sys.add_var("x", 0, 1, 0);
+  sys.add_transition(
+      "overflow", Fairness::None, [](const Valuation&) { return true; },
+      [x](Valuation& v) { v[x] = 2; });
+  const AtomMap atoms = {{"p", var_equals(sys, "x", 0)}};
+  const std::vector<ltl::Formula> specs = {parse_formula("G p"), parse_formula("F p")};
+  ASSERT_THROW(explore(sys, Budget()), std::invalid_argument);
+
+  CheckOptions opts;
+  opts.static_prover = [](const ltl::Formula&) -> std::optional<CheckResult> {
+    CheckResult proved;
+    proved.holds = true;
+    return proved;
+  };
+  for (const auto& r : check_all(sys, specs, atoms, opts)) {
+    EXPECT_TRUE(r.holds);
+    EXPECT_EQ(r.stats.engine, CheckEngine::StaticProof);
+    EXPECT_EQ(r.stats.state_graph_nodes, 0u);
+    EXPECT_EQ(r.stats.explore_seconds, 0.0);
+  }
+  // The given-graph form consults the prover first too: the (empty) graph is
+  // never read.
+  const ExploreResult unexplored;
+  for (const auto& r : check_all(sys, unexplored, specs, atoms, opts)) {
+    EXPECT_EQ(r.stats.engine, CheckEngine::StaticProof);
+    EXPECT_EQ(r.stats.state_graph_nodes, 0u);
+  }
 }
 
 }  // namespace

@@ -134,6 +134,24 @@ TEST(AntecedentFastPath, UnreachableVsExercised) {
   EXPECT_TRUE(*exercised->value);
 }
 
+TEST(AntecedentFastPath, GivenGraphMatchesOwnExploration) {
+  const ltl::Formula req = parse_formula("G(c1 -> O t1)");
+  for (const auto& prog : {fts::programs::trivial_mutex(), fts::programs::peterson()}) {
+    const fts::ExploreResult ex = fts::explore(prog.system, Budget{});
+    const auto shared = analysis::antecedent_exercised(prog.system, ex, req, prog.atoms,
+                                                       Budget{});
+    const auto own = analysis::antecedent_exercised(prog.system, req, prog.atoms, Budget{});
+    ASSERT_TRUE(shared && own);
+    EXPECT_EQ(shared->outcome, own->outcome);
+    EXPECT_EQ(shared->value, own->value);
+    // Read under a cap below the graph's size, the scan is unknown.
+    const auto capped = analysis::antecedent_exercised(prog.system, ex, req, prog.atoms,
+                                                       Budget().with_state_cap(1));
+    ASSERT_TRUE(capped);
+    EXPECT_EQ(capped->outcome, Outcome::BudgetStates);
+  }
+}
+
 TEST(AntecedentFastPath, OnlyImplicationUnderAlwaysQualifies) {
   const auto prog = fts::programs::peterson();
   EXPECT_FALSE(analysis::antecedent_exercised(prog.system, parse_formula("F c1"),
@@ -220,6 +238,65 @@ TEST(Vacuity, BudgetExhaustionIsUnknownNeverNonVacuous) {
   EXPECT_FALSE(diag.has_code("MPH-Y003"));
 }
 
+// analyze_vacuity over a caller-explored graph is the exploring form
+// exactly: verdicts, mutants, engines, witnesses, stats and diagnostics.
+TEST(Vacuity, GivenGraphMatchesOwnExploration) {
+  struct Case {
+    fts::programs::Program prog;
+    std::vector<std::string> reqs;
+  };
+  const std::vector<Case> cases = {
+      {fts::programs::peterson(), {"G(t1 -> F c1)", "G !(c1 & c2)", "G(c1 -> O t1)"}},
+      {fts::programs::trivial_mutex(), {"G !(c1 & c2)", "G(c1 -> O t1)", "G(t1 -> F c1)"}},
+      {fts::programs::dining(4), {"G !deadlock", "G(eat1 -> F !eat1)"}},
+      {fts::programs::ring_leader(4), {"F elected", "G(elected -> maxleader)"}},
+  };
+  for (const auto& c : cases) {
+    std::vector<ltl::Formula> reqs;
+    for (const auto& t : c.reqs) reqs.push_back(parse_formula(t));
+    for (bool dispatch : {true, false}) {
+      analysis::VacuityOptions opts;
+      opts.class_dispatch = dispatch;
+      const fts::ExploreResult ex =
+          fts::explore(c.prog.system, fts::effective_budget(opts.check));
+      analysis::DiagnosticEngine shared_diag, own_diag;
+      const auto shared =
+          analysis::analyze_vacuity(c.prog.system, ex, reqs, c.prog.atoms, shared_diag, opts);
+      const auto own =
+          analysis::analyze_vacuity(c.prog.system, reqs, c.prog.atoms, own_diag, opts);
+      EXPECT_EQ(shared_diag.to_text(), own_diag.to_text());
+      ASSERT_EQ(shared.requirements.size(), own.requirements.size());
+      for (std::size_t i = 0; i < reqs.size(); ++i) {
+        const auto& a = shared.requirements[i];
+        const auto& b = own.requirements[i];
+        EXPECT_EQ(a.verdict, b.verdict) << a.text;
+        EXPECT_EQ(a.original.holds, b.original.holds) << a.text;
+        EXPECT_EQ(a.original.outcome, b.original.outcome) << a.text;
+        EXPECT_EQ(a.antecedent_failure, b.antecedent_failure) << a.text;
+        ASSERT_EQ(a.mutants.size(), b.mutants.size()) << a.text;
+        for (std::size_t j = 0; j < a.mutants.size(); ++j) {
+          EXPECT_EQ(a.mutants[j].text, b.mutants[j].text);
+          EXPECT_EQ(a.mutants[j].engine, b.mutants[j].engine) << a.mutants[j].text;
+          EXPECT_EQ(a.mutants[j].outcome, b.mutants[j].outcome) << a.mutants[j].text;
+          EXPECT_EQ(a.mutants[j].holds, b.mutants[j].holds) << a.mutants[j].text;
+        }
+        ASSERT_EQ(a.witness.has_value(), b.witness.has_value()) << a.text;
+        if (a.witness) {
+          EXPECT_EQ(a.witness->prefix, b.witness->prefix) << a.text;
+          EXPECT_EQ(a.witness->loop, b.witness->loop) << a.text;
+        }
+      }
+      EXPECT_EQ(shared.stats.mutants_checked, own.stats.mutants_checked);
+      EXPECT_EQ(shared.stats.mutants_skipped, own.stats.mutants_skipped);
+      EXPECT_EQ(shared.stats.safety_prefix, own.stats.safety_prefix);
+      EXPECT_EQ(shared.stats.guarantee_dual, own.stats.guarantee_dual);
+      EXPECT_EQ(shared.stats.scc, own.stats.scc);
+      EXPECT_EQ(shared.stats.constant, own.stats.constant);
+      EXPECT_EQ(shared.stats.unknown, own.stats.unknown);
+    }
+  }
+}
+
 TEST(Dispatch, SafetyMutantsStayOffTheOmegaProduct) {
   const auto prog = fts::programs::trivial_mutex();
   analysis::DiagnosticEngine diag;
@@ -284,6 +361,27 @@ TEST(Coverage, LivenessSpecCoversTheTransitionsItNeeds) {
   EXPECT_TRUE(is_complete(cr.outcome));
   EXPECT_GT(cr.covered, 0u);
   EXPECT_GT(cr.percent_covered, 0.0);
+}
+
+TEST(Coverage, GivenGraphMatchesOwnExploration) {
+  const auto prog = fts::programs::dining(4);
+  const std::vector<ltl::Formula> reqs = {parse_formula("G !deadlock"),
+                                          parse_formula("G(eat1 -> F !eat1)")};
+  const analysis::CoverageOptions opts;
+  const fts::ExploreResult ex = fts::explore(prog.system, fts::effective_budget(opts.check));
+  analysis::DiagnosticEngine shared_diag, own_diag;
+  const auto shared =
+      analysis::analyze_coverage(prog.system, ex, reqs, prog.atoms, shared_diag, opts);
+  const auto own = analysis::analyze_coverage(prog.system, reqs, prog.atoms, own_diag, opts);
+  EXPECT_EQ(shared_diag.to_text(), own_diag.to_text());
+  EXPECT_EQ(shared.outcome, own.outcome);
+  EXPECT_EQ(shared.reachable, own.reachable);
+  EXPECT_EQ(shared.covered, own.covered);
+  ASSERT_EQ(shared.transitions.size(), own.transitions.size());
+  for (std::size_t t = 0; t < own.transitions.size(); ++t) {
+    EXPECT_EQ(shared.transitions[t].reachable, own.transitions[t].reachable);
+    EXPECT_EQ(shared.transitions[t].covered, own.transitions[t].covered);
+  }
 }
 
 TEST(Coverage, BudgetExhaustionAbortsWithY005) {

@@ -14,6 +14,8 @@
 // too), 2 = usage or parse failure. Unknown verdicts never silently map
 // to 0 semantics beyond exit status: they are always visible as MPH-V004 /
 // MPH-Y005 diagnostics and "unknown" table cells.
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -357,8 +359,20 @@ int main(int argc, char** argv) {
         program.system = sym->build();
         program.atoms = sym->atoms();
       }
-      analysis::run_passes(analysis::Subject::of(program.system, "model '" + name + "'"),
-                           engine, options);
+      // One exploration per model, under the largest state cap among its
+      // consumers: model lint reads the graph under its own cap, --check,
+      // --vacuity and --coverage under theirs (fts::outcome_under_cap).
+      const bool checked = !check_formulas.empty() || vacuity || coverage;
+      const std::size_t check_cap = budget_states > 0 ? budget_states : fts::kDefaultStateCap;
+      Budget explore_budget = Budget().with_state_cap(
+          checked ? std::max(options.fts.max_states, check_cap) : options.fts.max_states);
+      // --budget-ms bounds the whole --check batch, its exploration included.
+      if (checked && budget_ms > 0)
+        explore_budget.with_deadline_after(std::chrono::milliseconds(budget_ms));
+      const fts::ExploreResult explored = fts::explore(program.system, explore_budget);
+      analysis::run_passes(
+          analysis::Subject::of(program.system, explored, "model '" + name + "'"), engine,
+          options);
 
       if (sym) {
         const auto ar = analysis::lint_absint(*sym, engine);
@@ -405,9 +419,8 @@ int main(int argc, char** argv) {
         copts.class_dispatch = dispatch_check;
         if (sym) copts.static_prover = analysis::make_static_prover(*sym);
         if (budget_states > 0) copts.budget.with_state_cap(budget_states);
-        if (budget_ms > 0)
-          copts.budget.with_deadline_after(std::chrono::milliseconds(budget_ms));
-        auto results = fts::check_all(program.system, specs, program.atoms, copts);
+        if (auto deadline = explore_budget.deadline()) copts.budget.with_deadline(*deadline);
+        auto results = fts::check_all(program.system, explored, specs, program.atoms, copts);
         for (const auto& r : results)
           if (!is_complete(r.outcome)) unknown_seen = true;
         if (!json && !quiet) {
@@ -428,9 +441,12 @@ int main(int argc, char** argv) {
                        std::to_string(s.product_states), std::to_string(s.product_bound),
                        secs.str()});
           }
+          std::ostringstream explore_secs;
+          explore_secs.precision(3);
+          explore_secs << std::fixed << explored.seconds;
           std::cout << "== check against model '" << name << "' ("
                     << (results.empty() ? 0 : results[0].stats.state_graph_nodes)
-                    << " states) ==\n"
+                    << " states, explored in " << explore_secs.str() << " s) ==\n"
                     << t.to_string() << "\n";
         }
       }
@@ -460,8 +476,8 @@ int main(int argc, char** argv) {
           analysis::VacuityOptions vopts;
           vopts.check = copts;
           vopts.class_dispatch = dispatch_mutants;
-          const auto vr =
-              analysis::analyze_vacuity(program.system, reqs, program.atoms, engine, vopts);
+          const auto vr = analysis::analyze_vacuity(program.system, explored, reqs,
+                                                    program.atoms, engine, vopts);
           for (const auto& rv : vr.requirements)
             if (rv.verdict == analysis::RequirementVacuity::Verdict::Unknown)
               unknown_seen = true;
@@ -548,8 +564,8 @@ int main(int argc, char** argv) {
           analysis::CoverageOptions kopts;
           kopts.check = copts;
           kopts.class_dispatch = dispatch_mutants;
-          const auto cr =
-              analysis::analyze_coverage(program.system, reqs, program.atoms, engine, kopts);
+          const auto cr = analysis::analyze_coverage(program.system, explored, reqs,
+                                                     program.atoms, engine, kopts);
           if (!is_complete(cr.outcome) || cr.unknown > 0) unknown_seen = true;
           std::ostringstream pct;
           pct.precision(1);
