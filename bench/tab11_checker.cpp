@@ -105,8 +105,8 @@ std::vector<MatrixRow> run_matrix() {
   };
   run("trivial-mutex", fts::programs::trivial_mutex(), true, false);
   run("peterson", fts::programs::peterson(), true, true);
-  run("semaphore-weak", fts::programs::semaphore_mutex(2, fts::Fairness::Weak), true, false);
-  run("semaphore-strong", fts::programs::semaphore_mutex(2, fts::Fairness::Strong), true,
+  run("semaphore-weak-2", fts::programs::semaphore_mutex(2, fts::Fairness::Weak), true, false);
+  run("semaphore-strong-2", fts::programs::semaphore_mutex(2, fts::Fairness::Strong), true,
       true);
   return rows;
 }
@@ -130,9 +130,9 @@ std::vector<EarlyExitRow> run_early_exit() {
     BENCH_CHECK(replayed, ("counterexample replays to a violation on " + model).c_str());
     rows.push_back({model, spec_text, s, replayed});
   };
-  run("dining-3", fts::programs::dining_philosophers(3), "G !deadlock", false);
+  run("dining-3", fts::programs::dining(3), "G !deadlock", false);
   run("producer-consumer-8", fts::programs::producer_consumer(8), "G !full", false);
-  run("dining-2", fts::programs::dining_philosophers(2), "(F eat1) U deadlock", true);
+  run("dining-2", fts::programs::dining(2), "(F eat1) U deadlock", true);
   return rows;
 }
 
@@ -254,7 +254,7 @@ void bench_repeated_check_semaphore(benchmark::State& state) {
 BENCHMARK(bench_repeated_check_semaphore)->DenseRange(2, 4);
 
 void bench_early_exit_dining(benchmark::State& state) {
-  Program prog = fts::programs::dining_philosophers(static_cast<std::size_t>(state.range(0)));
+  Program prog = fts::programs::dining(static_cast<std::size_t>(state.range(0)));
   auto spec = ltl::parse_formula("G !deadlock");
   for (auto _ : state) benchmark::DoNotOptimize(fts::check(prog.system, spec, prog.atoms));
   state.SetLabel("philosophers=" + std::to_string(state.range(0)));

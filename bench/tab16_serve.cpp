@@ -85,17 +85,6 @@ std::vector<serve::Json> run_pass(serve::Server& server, const std::vector<Reque
   return responses;
 }
 
-fts::programs::Program resolve(const std::string& name) {
-  if (name == "peterson") return fts::programs::peterson();
-  if (name == "trivial-mutex") return fts::programs::trivial_mutex();
-  if (name == "dining-5") return fts::programs::dining(5);
-  if (name == "dining-7") return fts::programs::dining(7);
-  if (name == "ring-5") return fts::programs::ring_leader(5);
-  if (name == "ring-7") return fts::programs::ring_leader(7);
-  BENCH_CHECK(false, ("unknown workload model " + name).c_str());
-  std::abort();
-}
-
 void write_json(const std::string& path, bool quick, int warm_rounds,
                 const std::vector<Row>& rows, double cold_p50, double warm_p50,
                 double hit_rate, bool agreement) {
@@ -205,7 +194,7 @@ int main(int argc, char** argv) {
   bool agreement = true;
   for (std::size_t w = 0; w < workload.size(); ++w) {
     const Request& request = workload[w];
-    const fts::programs::Program prog = resolve(request.model);
+    const fts::programs::Program prog = fts::programs::find_model(request.model).value();
     std::vector<ltl::Formula> specs;
     for (const std::string& text : request.specs)
       specs.push_back(ltl::parse_formula(text));

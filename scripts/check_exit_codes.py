@@ -92,6 +92,8 @@ CASES = [
     (2, "no inputs at all", []),
     (2, "unknown flag", ["--bogus"]),
     (2, "unknown model", ["--model", "no-such-model"]),
+    (2, "family size out of range", ["--model", "dining-99"]),
+    (2, "non-canonical family size", ["--model", "ring-007"]),
     (2, "malformed positional formula", ["G (("]),
     (2, "malformed --check formula", ["--model", "peterson", "--check", "G (("]),
     (2, "--check without a model", ["--check", "G p", "G p"]),

@@ -75,6 +75,8 @@ REQUESTS = [
                         {"name": "x", "lo": 0, "hi": 2, "init": 0}],
                "transitions": []},
      "specs": ["G p"]},                                       # duplicate var name
+    {"op": "check", "id": 23, "model": "dining-99",
+     "specs": ["G !deadlock"]},                               # family size out of range
     "this is not json",
     {"op": "stats", "id": 19},
 ]
@@ -241,6 +243,13 @@ def main():
     expect(not by_id[17]["ok"]
            and by_id[17]["error"]["code"] == "bad-request",
            "unknown model is a structured bad-request", by_id[17])
+    oor = by_id[23]
+    expect(not oor["ok"] and oor["error"]["code"] == "bad-request"
+           and "2..12" in oor["error"]["message"]
+           and "requirement failed" not in oor["error"]["message"]
+           and "/src/" not in oor["error"]["message"],
+           "an out-of-range family is a bad-request naming the range, "
+           "with no source path", oor)
     expect(not by_id[18]["ok"]
            and by_id[18]["error"]["code"] == "bad-request",
            "malformed budget_states is a structured bad-request", by_id[18])
@@ -257,12 +266,12 @@ def main():
     endpoints = stats["endpoints"]
     expect(endpoints["parse"]["count"] == 2
            and endpoints["classify"]["count"] == 2
-           and endpoints["check"]["count"] == 14
+           and endpoints["check"]["count"] == 15
            and endpoints["vacuity"]["count"] == 1
            and endpoints["invalid"]["count"] == 1
            and endpoints["bogus-op"]["count"] == 1,
            "per-endpoint request counts", by_id[19])
-    expect(endpoints["check"]["errors"] == 3,   # ids 17, 18 and 22
+    expect(endpoints["check"]["errors"] == 4,   # ids 17, 18, 22 and 23
            "check endpoint error count", by_id[19])
     expect(stats["budget_exhaustions"] == 1, "budget exhaustion count",
            by_id[19])

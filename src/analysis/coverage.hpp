@@ -21,10 +21,6 @@ struct CoverageOptions {
   /// is overridden by `class_dispatch`.
   fts::CheckOptions check;
   bool class_dispatch = true;
-  /// Used by run_passes: whether the registered `coverage` pass runs (off by
-  /// default — each reachable transition costs a full re-check of every
-  /// requirement).
-  bool enabled = false;
 };
 
 struct TransitionCoverage {

@@ -50,8 +50,6 @@ struct VacuityOptions {
   bool antecedent_fast_path = true;
   /// Mutants beyond this per-requirement cap are counted as skipped.
   std::size_t max_mutants_per_requirement = 256;
-  /// Used by run_passes: whether the registered `vacuity` pass runs.
-  bool enabled = true;
 };
 
 /// One strengthening mutant and how it fared.

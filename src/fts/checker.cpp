@@ -785,10 +785,13 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair, const Lab
 }
 
 std::vector<std::string> validated_atoms(const ltl::Formula& spec, const AtomMap& atoms) {
+  // User input on the CLI and the wire: a plain refusal, no source location.
   auto atom_names = spec.atoms();
-  MPH_REQUIRE(!atom_names.empty(), "specification must mention at least one atom");
+  if (atom_names.empty())
+    throw std::invalid_argument("specification must mention at least one atom");
   for (const auto& name : atom_names)
-    MPH_REQUIRE(atoms.contains(name), "specification atom not defined: " + name);
+    if (!atoms.contains(name))
+      throw std::invalid_argument("specification atom not defined: " + name);
   return atom_names;
 }
 

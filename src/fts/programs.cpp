@@ -1,5 +1,9 @@
 #include "src/fts/programs.hpp"
 
+#include <charconv>
+#include <stdexcept>
+#include <string>
+
 namespace mph::fts::programs {
 namespace {
 
@@ -9,6 +13,17 @@ void add_location_atoms(Program& prog, std::size_t process_1based, std::size_t p
   prog.atoms["t" + i] = [pc_var](const Fts&, const Valuation& v, int) { return v[pc_var] == 1; };
   prog.atoms["c" + i] = [pc_var](const Fts&, const Valuation& v, int) { return v[pc_var] == 2; };
 }
+
+constexpr NamedModel kNamedModels[] = {
+    {"peterson", peterson},
+    {"trivial-mutex", trivial_mutex},
+    {"semaphore-weak", [] { return semaphore_mutex(3, Fairness::Weak); }},
+    {"semaphore-strong", [] { return semaphore_mutex(3, Fairness::Strong); }},
+    {"producer-consumer", [] { return producer_consumer(3); }},
+    {"dining-3", [] { return dining(3); }},
+};
+
+constexpr Family kFamilies[] = {kDiningFamily, kRingFamily};
 
 }  // namespace
 
@@ -135,8 +150,9 @@ Program producer_consumer(int capacity) {
   return prog;
 }
 
-Program dining_philosophers(std::size_t n) {
-  MPH_REQUIRE(n >= 2 && n <= 12, "dining_philosophers supports 2..12 philosophers");
+Program dining(std::size_t n) {
+  MPH_REQUIRE(n >= kDiningFamily.min_n && n <= kDiningFamily.max_n,
+              "dining: philosopher count outside kDiningFamily's range");
   Program prog;
   Fts& s = prog.system;
   // pc_i: 0 = thinking, 1 = holds left fork, 2 = eating (holds both).
@@ -184,10 +200,9 @@ Program dining_philosophers(std::size_t n) {
   return prog;
 }
 
-Program dining(std::size_t n) { return dining_philosophers(n); }
-
 Program ring_leader(std::size_t n) {
-  MPH_REQUIRE(n >= 2 && n <= 10, "ring_leader supports 2..10 nodes");
+  MPH_REQUIRE(n >= kRingFamily.min_n && n <= kRingFamily.max_n,
+              "ring_leader: node count outside kRingFamily's range");
   Program prog;
   Fts& s = prog.system;
   const int ni = static_cast<int>(n);
@@ -234,6 +249,34 @@ Program ring_leader(std::size_t n) {
     return true;
   };
   return prog;
+}
+
+std::span<const NamedModel> named_models() { return kNamedModels; }
+
+std::span<const Family> model_families() { return kFamilies; }
+
+std::optional<std::size_t> member_size(const Family& family, std::string_view name) {
+  if (!name.starts_with(family.prefix)) return std::nullopt;
+  const std::string_view digits = name.substr(family.prefix.size());
+  std::size_t n = 0;
+  std::from_chars(digits.data(), digits.data() + digits.size(), n);
+  // The round trip refuses an empty suffix, a sign, leading zeros and
+  // trailing junk, so each model has one name (and one serve cache key).
+  if (std::to_string(n) != digits || n < family.min_n || n > family.max_n) return std::nullopt;
+  return n;
+}
+
+std::optional<Program> find_model(std::string_view name) {
+  for (const NamedModel& model : kNamedModels)
+    if (name == model.name) return model.make();
+  for (const Family& f : kFamilies) {
+    if (!name.starts_with(f.prefix)) continue;
+    if (const auto n = member_size(f, name)) return f.make(*n);
+    throw std::invalid_argument("unknown model '" + std::string(name) + "' (" +
+                                std::string(f.prefix) + "N takes N = " +
+                                std::to_string(f.min_n) + ".." + std::to_string(f.max_n) + ")");
+  }
+  return std::nullopt;
 }
 
 }  // namespace mph::fts::programs

@@ -1,11 +1,17 @@
 // The paper's worked programs (§1, §4): mutual-exclusion algorithms and a
 // producer–consumer loop, each packaged with the atom vocabulary its
-// specifications use.
+// specifications use, plus the dining-N / ring-N scaling families. The
+// registry at the end is the one map from a model name to a program that
+// mph-lint, mph-serve and the benches share.
 //
 // Location encoding for mutex processes: 0 = noncritical (N), 1 = trying
 // (T/W), 2 = critical (C); atoms "t<i>" and "c<i>" expose the trying and
 // critical locations of process i (1-based).
 #pragma once
+
+#include <optional>
+#include <span>
+#include <string_view>
 
 #include "src/fts/fts.hpp"
 
@@ -42,10 +48,6 @@ Program producer_consumer(int capacity);
 /// fork then the right. The naive protocol can deadlock (everyone holds the
 /// left fork); atom "deadlock" exposes it, atoms "eat<i>" the eating states.
 /// Pick-up and eating transitions are weakly fair.
-Program dining_philosophers(std::size_t n);
-
-/// Alias of dining_philosophers: the parameterized "dining-N" scaling family
-/// used by mph-lint, mph-serve and the benchmarks.
 Program dining(std::size_t n);
 
 /// Chang–Roberts leader election on a unidirectional ring of `n` nodes
@@ -57,5 +59,33 @@ Program dining(std::size_t n);
 /// (no message in flight). Under weak fairness "F elected" and
 /// "G(elected -> maxleader)" both hold.
 Program ring_leader(std::size_t n);
+
+/// A scaling family: member "<prefix>N" is make(N), for N in min_n..max_n
+/// spelled in canonical decimal (no sign, no leading zero).
+struct Family {
+  std::string_view prefix;
+  std::size_t min_n, max_n;
+  Program (*make)(std::size_t);
+};
+inline constexpr Family kDiningFamily{"dining-", 2, 12, &dining};
+inline constexpr Family kRingFamily{"ring-", 2, 10, &ring_leader};
+
+struct NamedModel {
+  std::string_view name;
+  Program (*make)();
+};
+
+/// The fixed-name models (what `mph-lint --models` lints) and the families,
+/// each in `--list-models` order.
+std::span<const NamedModel> named_models();
+std::span<const Family> model_families();
+
+/// N when `name` is a canonical, in-range member of `family`, else nullopt.
+std::optional<std::size_t> member_size(const Family& family, std::string_view name);
+
+/// Builds the built-in model `name`, or nullopt when nothing is so named.
+/// A family prefix without a valid N ("dining-99", "dining-", "ring-007")
+/// throws std::invalid_argument naming the valid range.
+std::optional<Program> find_model(std::string_view name);
 
 }  // namespace mph::fts::programs

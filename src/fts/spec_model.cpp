@@ -1,7 +1,6 @@
 #include "src/fts/spec_model.hpp"
 
-#include <charconv>
-
+#include "src/fts/programs.hpp"
 #include "src/support/check.hpp"
 
 namespace mph::fts {
@@ -137,20 +136,10 @@ FtsSpec symbolic_ring(std::size_t n) {
 }
 
 std::optional<FtsSpec> find_symbolic_model(std::string_view name) {
-  const auto parse_n = [](std::string_view tail) -> std::optional<std::size_t> {
-    std::size_t n = 0;
-    const auto [ptr, ec] = std::from_chars(tail.data(), tail.data() + tail.size(), n);
-    if (ec != std::errc{} || ptr != tail.data() + tail.size()) return std::nullopt;
-    return n;
-  };
-  if (name.rfind("dining-", 0) == 0) {
-    if (const auto n = parse_n(name.substr(7)); n && *n >= 2 && *n <= 12)
-      return symbolic_dining(*n);
-  }
-  if (name.rfind("ring-", 0) == 0) {
-    if (const auto n = parse_n(name.substr(5)); n && *n >= 2 && *n <= 10)
-      return symbolic_ring(*n);
-  }
+  if (const auto n = programs::member_size(programs::kDiningFamily, name))
+    return symbolic_dining(*n);
+  if (const auto n = programs::member_size(programs::kRingFamily, name))
+    return symbolic_ring(*n);
   return std::nullopt;
 }
 

@@ -71,10 +71,11 @@ FtsSpec symbolic_dining(std::size_t n);
 /// single-bit slots; the same `alarm` latch rides along. Requires n ≥ 2.
 FtsSpec symbolic_ring(std::size_t n);
 
-/// Resolves the parameterized symbolic model families by the same names the
-/// lint CLI uses: "dining-N" (2..12) and "ring-N" (2..10). Returns nullopt
-/// for models with no symbolic description (e.g. peterson, whose disjunctive
-/// guards are not FtsSpec-expressible).
+/// Resolves the symbolic twins of the built-in families by the registry's
+/// own names (programs::member_size): "dining-N" and "ring-N". Returns
+/// nullopt for every other name, including models with no symbolic
+/// description (e.g. peterson, whose disjunctive guards are not
+/// FtsSpec-expressible) and family names the registry refuses.
 std::optional<FtsSpec> find_symbolic_model(std::string_view name);
 
 }  // namespace mph::fts

@@ -210,30 +210,10 @@ Json fts_spec_to_json(const fuzz::FtsSpec& spec) {
 ResolvedModel resolve_model(const Json& model) {
   if (model.is_string()) {
     const std::string& name = model.as_string();
-    auto from = [&](fts::programs::Program program) {
-      return ResolvedModel{std::move(program.system), std::move(program.atoms),
-                           builtin_model_digest(name), name, std::nullopt};
-    };
-    if (name == "peterson") return from(fts::programs::peterson());
-    if (name == "trivial-mutex") return from(fts::programs::trivial_mutex());
-    if (name == "semaphore-weak")
-      return from(fts::programs::semaphore_mutex(3, fts::Fairness::Weak));
-    if (name == "semaphore-strong")
-      return from(fts::programs::semaphore_mutex(3, fts::Fairness::Strong));
-    if (name == "producer-consumer") return from(fts::programs::producer_consumer(3));
-    auto family = [&](std::string_view prefix) -> std::optional<std::size_t> {
-      if (name.size() <= prefix.size() ||
-          name.compare(0, prefix.size(), prefix) != 0)
-        return std::nullopt;
-      const std::string digits = name.substr(prefix.size());
-      if (digits.find_first_not_of("0123456789") != std::string::npos ||
-          digits.empty() || digits.size() > 3)
-        return std::nullopt;
-      return static_cast<std::size_t>(std::stoul(digits));
-    };
-    if (auto n = family("dining-")) return from(fts::programs::dining(*n));
-    if (auto n = family("ring-")) return from(fts::programs::ring_leader(*n));
-    throw std::invalid_argument("unknown model '" + name + "'");
+    auto program = fts::programs::find_model(name);
+    if (!program) throw std::invalid_argument("unknown model '" + name + "'");
+    return ResolvedModel{std::move(program->system), std::move(program->atoms),
+                         builtin_model_digest(name), name, std::nullopt};
   }
   fuzz::FtsSpec spec = fts_spec_from_json(model);
   ResolvedModel resolved{spec.build(), spec.atoms(), model_digest(spec), "(inline)",
@@ -789,8 +769,7 @@ Json Server::handle_invalidate(const Json& request) {
       throw std::invalid_argument("model_digest must be 16 lowercase hex digits");
     digest = std::stoull(text, nullptr, 16);
   } else if (const Json* model = request.find("model")) {
-    digest = model->is_string() ? builtin_model_digest(model->as_string())
-                                : model_digest(fts_spec_from_json(*model));
+    digest = resolve_model(*model).digest;  // refuses what `check` refuses
   } else {
     throw std::invalid_argument("invalidate needs a 'model' or 'model_digest'");
   }

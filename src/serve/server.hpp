@@ -150,10 +150,10 @@ struct ResolvedModel {
   std::optional<fts::FtsSpec> spec;
 };
 
-/// Resolves a model value — a string naming a built-in (peterson,
-/// trivial-mutex, semaphore-weak, semaphore-strong, producer-consumer,
-/// dining-N for N=2..12, ring-N for N=2..10) or an inline FtsSpec object.
-/// Throws std::invalid_argument on unknown names / malformed objects.
+/// Resolves a model value — a string naming a built-in model
+/// (fts::programs::find_model; `mph-lint --list-models` prints the names)
+/// or an inline FtsSpec object. Throws std::invalid_argument on unknown
+/// names / malformed objects.
 ResolvedModel resolve_model(const Json& model);
 
 /// Inline-model (de)serialization, shared by the server, the serve-replay

@@ -2,9 +2,13 @@
 // API: engine selection (the SCC engine vs the class shortcuts), early exit
 // strictly below the full product bound, counterexamples that replay,
 // budget exhaustion, the acceptance-mark limit, check_all agreement with
-// sequential check — sequentially and on a worker pool — and check_all over
-// a graph explored once, read under the check's own state cap.
+// sequential check — sequentially and on a worker pool — check_all over a
+// graph explored once, read under the check's own state cap, and the plain
+// refusals of bad model names and spec atoms.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <utility>
 
 #include "src/fts/checker.hpp"
 #include "src/fts/programs.hpp"
@@ -96,16 +100,6 @@ TEST(EngineSelection, NormalizationRoutesNonSyntacticShapesToShortcuts) {
   EXPECT_EQ(r.holds, unrouted.holds);
 }
 
-Program model_by_name(const std::string& name) {
-  if (name == "peterson") return programs::peterson();
-  if (name == "trivial-mutex") return programs::trivial_mutex();
-  if (name == "ring-4") return programs::ring_leader(4);
-  if (name == "ring-5") return programs::ring_leader(5);
-  if (name == "dining-3") return programs::dining_philosophers(3);
-  if (name == "dining-4") return programs::dining_philosophers(4);
-  throw std::runtime_error("unknown test model: " + name);
-}
-
 struct Case {
   const char* model;
   const char* spec;
@@ -132,7 +126,7 @@ TEST(EngineSelection, RoutesOnDiningRingAndMutexModels) {
       {{"peterson", "G(t1 -> F c1)", false}, CheckEngine::Scc, true},
   };
   for (const Routed& r : cases) {
-    const Program prog = model_by_name(r.c.model);
+    const Program prog = programs::find_model(r.c.model).value();
     CheckOptions opts;
     opts.class_dispatch = r.c.class_dispatch;
     const CheckResult res = check(prog.system, parse_formula(r.c.spec), prog.atoms, opts);
@@ -147,7 +141,7 @@ TEST(EarlyExit, ViolationStopsStrictlyBelowTheProductBound) {
   // Seeded violation: the naive dining protocol deadlocks. The SCC search
   // must report it without interning the whole state-graph × automaton
   // product.
-  Program prog = programs::dining_philosophers(3);
+  Program prog = programs::dining(3);
   auto spec = parse_formula("G !deadlock");
   auto result = check(prog.system, spec, prog.atoms);
   ASSERT_FALSE(result.holds);
@@ -159,7 +153,7 @@ TEST(EarlyExit, ViolationStopsStrictlyBelowTheProductBound) {
 TEST(EarlyExit, NbaFallbackViolationReplays) {
   // Outside the hierarchy fragment: the tableau NBA drives the same SCC
   // search and its counterexample must still be genuine.
-  Program prog = programs::dining_philosophers(2);
+  Program prog = programs::dining(2);
   auto spec = parse_formula("(F eat1) U deadlock");
   auto result = check(prog.system, spec, prog.atoms);
   ASSERT_FALSE(result.holds);
@@ -179,7 +173,7 @@ TEST(EarlyExit, CounterexamplesReplayOnDiningAndRing) {
       {"dining-3", "(F eat1) U deadlock", false},   // SCC search over the NBA tableau
   };
   for (const Case& c : cases) {
-    const Program prog = model_by_name(c.model);
+    const Program prog = programs::find_model(c.model).value();
     const ltl::Formula spec = parse_formula(c.spec);
     CheckOptions opts;
     opts.class_dispatch = c.class_dispatch;
@@ -192,7 +186,7 @@ TEST(EarlyExit, DeadlockOnDining11WithinFiveThousandPairs) {
   // The search stops at the first component whose marks satisfy the
   // acceptance, here a deadlock's stutter self-loop: a few thousand pairs at
   // most, against 115,468 state-graph nodes.
-  const Program prog = programs::dining_philosophers(11);
+  const Program prog = programs::dining(11);
   const auto spec = parse_formula("G !deadlock");
   const CheckResult r = check(prog.system, spec, prog.atoms);
   ASSERT_EQ(r.outcome, Outcome::Complete);
@@ -203,7 +197,7 @@ TEST(EarlyExit, DeadlockOnDining11WithinFiveThousandPairs) {
 }
 
 TEST(EarlyExit, FinShapedAndMultiInitialNbaViolationsReplay) {
-  const Program prog = programs::dining_philosophers(3);
+  const Program prog = programs::dining(3);
   // ¬G(hungry1 → F eat1) is a persistence: its acceptance has Fin atoms.
   const auto response = parse_formula("G(hungry1 -> F eat1)");
   const auto response_alphabet = lang::Alphabet::of_props(response.atoms());
@@ -298,6 +292,34 @@ TEST(MarkLimit, PastTheLimitOnlyTheOmegaProductIsRefused) {
     EXPECT_NE(what.find("64 for fairness"), std::string::npos) << what;
     EXPECT_NE(what.find("limit of 64"), std::string::npos) << what;
     EXPECT_EQ(what.find("requirement failed"), std::string::npos) << what;
+  }
+}
+
+TEST(ModelRegistry, BadNamesAndAtomsAreRefusedWithoutSourcePaths) {
+  for (const auto& m : programs::named_models()) EXPECT_TRUE(programs::find_model(m.name));
+  for (const auto& f : programs::model_families())
+    for (std::size_t n = f.min_n; n <= f.max_n; ++n)
+      EXPECT_EQ(programs::member_size(f, std::string(f.prefix) + std::to_string(n)), n);
+  EXPECT_FALSE(programs::find_model("nope"));
+  const Program peterson = programs::peterson();
+  const std::pair<std::function<void()>, const char*> refused[] = {
+      {[] { programs::find_model("dining-99"); }, "(dining-N takes N = 2..12)"},
+      {[] { programs::find_model("dining-1"); }, "(dining-N takes N = 2..12)"},
+      {[] { programs::find_model("dining-"); }, "(dining-N takes N = 2..12)"},
+      {[] { programs::find_model("ring-007"); }, "(ring-N takes N = 2..10)"},
+      {[] { programs::find_model("ring-+5"); }, "(ring-N takes N = 2..10)"},
+      {[&] { check(peterson.system, parse_formula("G foo"), peterson.atoms); }, "foo"},
+      {[&] { check(peterson.system, parse_formula("G true"), peterson.atoms); }, "atom"},
+  };
+  for (const auto& [run, expected] : refused) {
+    try {
+      run();
+      ADD_FAILURE() << "not refused: " << expected;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(expected), std::string::npos) << what;
+      EXPECT_EQ(what.find("requirement failed"), std::string::npos) << what;
+    }
   }
 }
 
@@ -437,7 +459,7 @@ TEST(Budgets, ZeroStateBudgetReturnsImmediately) {
 // every spec gets the unknown verdict and one batch-level MPH-V004 names
 // exactly the cap's state count.
 TEST(Budgets, ExploreExhaustionReportsOneBatchDiagnostic) {
-  const Program prog = programs::dining_philosophers(4);
+  const Program prog = programs::dining(4);
   analysis::DiagnosticEngine diags;
   CheckOptions opts;
   opts.budget.with_state_cap(60);
@@ -594,7 +616,7 @@ TEST(SharedGraph, GivenGraphMatchesTheExploringForm) {
 // exactly as an exploration capped at 60: BudgetStates, 60 nodes, and the
 // same batch-level MPH-V004 as ExploreExhaustionReportsOneBatchDiagnostic.
 TEST(SharedGraph, LargerGraphReadsAsTheCappedExploration) {
-  const Program prog = programs::dining_philosophers(4);
+  const Program prog = programs::dining(4);
   const ExploreResult ex = explore(prog.system, Budget().with_state_cap(kDefaultStateCap));
   ASSERT_TRUE(is_complete(ex.outcome));
   ASSERT_GT(ex.graph.nodes.size(), 60u);

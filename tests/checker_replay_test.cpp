@@ -63,14 +63,14 @@ TEST(CheckerReplay, ProducerConsumerDrain) {
 }
 
 TEST(CheckerReplay, DiningPhilosophersDeadlock) {
-  expect_genuine_counterexample(programs::dining_philosophers(2),
+  expect_genuine_counterexample(programs::dining(2),
                                 parse_formula("G !deadlock"));
-  expect_genuine_counterexample(programs::dining_philosophers(3),
+  expect_genuine_counterexample(programs::dining(3),
                                 parse_formula("G(hungry1 -> F eat1)"));
 }
 
 TEST(CheckerReplay, NbaFallbackCounterexamples) {
-  expect_genuine_counterexample(programs::dining_philosophers(2),
+  expect_genuine_counterexample(programs::dining(2),
                                 parse_formula("(F eat1) U deadlock"));
   expect_genuine_counterexample(programs::producer_consumer(2),
                                 parse_formula("(!full) U full"));

@@ -146,7 +146,7 @@ TEST(UnionIntersectionChains, ManyOperandsStayCorrect) {
 }
 
 TEST(ExploreGuards, MaxStatesEnforced) {
-  auto prog = fts::programs::dining_philosophers(3);
+  auto prog = fts::programs::dining(3);
   fts::ExploreResult ex = fts::explore(prog.system, Budget().with_state_cap(3));
   EXPECT_EQ(ex.outcome, Outcome::BudgetStates);
   EXPECT_EQ(ex.graph.nodes.size(), 3u);

@@ -14,7 +14,7 @@ using ltl::parse_formula;
 using programs::Program;
 
 TEST(DiningPhilosophers, NaiveProtocolCanDeadlock) {
-  Program prog = programs::dining_philosophers(2);
+  Program prog = programs::dining(2);
   // "Never deadlocked" is violated: the all-left-forks state is reachable.
   auto r = check(prog.system, parse_formula("G !deadlock"), prog.atoms);
   EXPECT_FALSE(r.holds);
@@ -24,13 +24,13 @@ TEST(DiningPhilosophers, NaiveProtocolCanDeadlock) {
 }
 
 TEST(DiningPhilosophers, ForksAreMutuallyExclusive) {
-  Program prog = programs::dining_philosophers(2);
+  Program prog = programs::dining(2);
   // Adjacent philosophers never eat together (they share both forks at n=2).
   EXPECT_TRUE(check(prog.system, parse_formula("G !(eat1 & eat2)"), prog.atoms).holds);
 }
 
 TEST(DiningPhilosophers, ThreePhilosophers) {
-  Program prog = programs::dining_philosophers(3);
+  Program prog = programs::dining(3);
   EXPECT_TRUE(check(prog.system, parse_formula("G !(eat1 & eat2)"), prog.atoms).holds);
   EXPECT_FALSE(check(prog.system, parse_formula("G !deadlock"), prog.atoms).holds);
   // Eating is not guaranteed (deadlock is one obstruction).
@@ -38,7 +38,7 @@ TEST(DiningPhilosophers, ThreePhilosophers) {
 }
 
 TEST(Checker, DeadlockedAtomMatchesStutterStates) {
-  Program prog = programs::dining_philosophers(2);
+  Program prog = programs::dining(2);
   StateGraph g = std::move(explore(prog.system, Budget()).graph);
   auto dead = deadlocked();
   bool found_deadlock = false;
@@ -53,7 +53,7 @@ TEST(Checker, DeadlockedAtomMatchesStutterStates) {
 TEST(Checker, NbaFallbackForNonFragmentSpecs) {
   // (F eat1) U deadlock is outside the deterministic hierarchy fragment
   // (until over future operands) — exercised via the NBA tableau.
-  Program prog = programs::dining_philosophers(2);
+  Program prog = programs::dining(2);
   auto r = check(prog.system, parse_formula("(F eat1) U deadlock"), prog.atoms);
   // Not every fair run reaches the deadlock, so the spec fails; the point is
   // that the check *runs* through the fallback and yields a counterexample.

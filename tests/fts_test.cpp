@@ -37,7 +37,7 @@ TEST(Fts, BasicConstructionAndExploration) {
 }
 
 TEST(Fts, ExploreStopsAtExactlyTheStateCap) {
-  const Program prog = programs::dining_philosophers(4);
+  const Program prog = programs::dining(4);
   const std::size_t cap = 40;
   ExploreResult res = explore(prog.system, Budget().with_state_cap(cap));
   EXPECT_EQ(res.outcome, Outcome::BudgetStates);

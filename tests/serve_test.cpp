@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/serve/cache.hpp"
@@ -378,6 +379,29 @@ TEST(ServeServer, PastTheMarkLimitOnlyTheOmegaProductIsRefused) {
   EXPECT_NE(message.find("needs 101 acceptance marks"), std::string::npos) << message;
   EXPECT_NE(message.find("limit of 64"), std::string::npos) << message;
   EXPECT_EQ(message.find("requirement failed"), std::string::npos) << message;
+}
+
+TEST(ServeServer, BadModelNamesAndAtomsAreRefusedWithoutSourcePaths) {
+  Server server;
+  const std::pair<std::string, std::string> refused[] = {
+      {R"js({"op":"check","model":"dining-99","specs":["G !deadlock"]})js", "N = 2..12"},
+      {R"js({"op":"check","model":"dining-1","specs":["G !deadlock"]})js", "N = 2..12"},
+      {R"js({"op":"check","model":"ring-007","specs":["F elected"]})js", "N = 2..10"},
+      {R"js({"op":"vacuity","model":"ring-007","specs":["F elected"]})js", "N = 2..10"},
+      {R"js({"op":"invalidate","model":"dining-99"})js", "N = 2..12"},
+      {R"js({"op":"invalidate","model":"nope"})js", "unknown model 'nope'"},
+      {R"js({"op":"check","model":"peterson","specs":["G foo"]})js", "not defined: foo"},
+      {R"js({"op":"check","model":"peterson","specs":["G true"]})js", "at least one atom"},
+  };
+  for (const auto& [line, expected] : refused) {
+    const Json response = req(server.handle_line(line));
+    ASSERT_FALSE(response.find("ok")->as_bool()) << line;
+    EXPECT_EQ(field(*response.find("error"), "code"), "bad-request") << line;
+    const std::string message = field(*response.find("error"), "message");
+    EXPECT_NE(message.find(expected), std::string::npos) << message;
+    EXPECT_EQ(message.find("requirement failed"), std::string::npos) << message;
+    EXPECT_EQ(message.find("/src/"), std::string::npos) << message;
+  }
 }
 
 // ------------------------------------------------- budgets and admission

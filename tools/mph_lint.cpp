@@ -41,40 +41,6 @@ namespace {
 
 using namespace mph;
 
-struct ModelEntry {
-  const char* name;
-  fts::programs::Program (*make)();
-};
-
-const ModelEntry kModels[] = {
-    {"peterson", [] { return fts::programs::peterson(); }},
-    {"trivial-mutex", [] { return fts::programs::trivial_mutex(); }},
-    {"semaphore-weak", [] { return fts::programs::semaphore_mutex(3, fts::Fairness::Weak); }},
-    {"semaphore-strong",
-     [] { return fts::programs::semaphore_mutex(3, fts::Fairness::Strong); }},
-    {"producer-consumer", [] { return fts::programs::producer_consumer(3); }},
-    {"dining-3", [] { return fts::programs::dining_philosophers(3); }},
-};
-
-/// Built-in models plus the parameterized families dining-N (2..12) and
-/// ring-N (2..10). Returns nullopt for unknown names; out-of-range family
-/// parameters throw std::invalid_argument (reported as a usage failure).
-std::optional<fts::programs::Program> make_model(const std::string& name) {
-  for (const auto& m : kModels)
-    if (name == m.name) return m.make();
-  auto family = [&](std::string_view prefix) -> std::optional<std::size_t> {
-    if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix) != 0)
-      return std::nullopt;
-    const std::string digits = name.substr(prefix.size());
-    if (digits.find_first_not_of("0123456789") != std::string::npos || digits.size() > 3)
-      return std::nullopt;
-    return std::stoul(digits);
-  };
-  if (auto n = family("dining-")) return fts::programs::dining(*n);
-  if (auto n = family("ring-")) return fts::programs::ring_leader(*n);
-  return std::nullopt;
-}
-
 int usage(std::ostream& out, int code) {
   out << "usage: mph-lint [options] [FORMULA...]\n"
          "  --spec FILE     lint a spec file (one LTL requirement per line, '#' comments)\n"
@@ -286,8 +252,9 @@ int main(int argc, char** argv) {
       std::cout << t.to_string();
       return 0;
     } else if (arg == "--list-models") {
-      for (const auto& m : kModels) std::cout << m.name << "\n";
-      std::cout << "dining-N (N=2..12)\nring-N (N=2..10)\n";
+      for (const auto& m : fts::programs::named_models()) std::cout << m.name << "\n";
+      for (const auto& f : fts::programs::model_families())
+        std::cout << f.prefix << "N (N=" << f.min_n << ".." << f.max_n << ")\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "mph-lint: unknown option " << arg << "\n";
@@ -297,36 +264,27 @@ int main(int argc, char** argv) {
     }
   }
   if (all_models)
-    for (const auto& m : kModels) model_names.emplace_back(m.name);
+    for (const auto& m : fts::programs::named_models()) model_names.emplace_back(m.name);
   if (formulas.empty() && spec_files.empty() && model_names.empty())
     return usage(std::cerr, 2);
-  if (!check_formulas.empty() && model_names.size() != 1) {
-    std::cerr << "mph-lint: --check needs exactly one --model\n";
-    return 2;
-  }
-  if (absint && model_names.size() != 1) {
-    std::cerr << "mph-lint: --absint needs exactly one --model\n";
-    return 2;
-  }
-  if ((vacuity || coverage) && model_names.size() != 1) {
-    std::cerr << "mph-lint: --vacuity/--coverage need exactly one --model\n";
-    return 2;
-  }
-  if ((vacuity || coverage) && check_formulas.empty() && spec_files.empty() &&
-      formulas.empty()) {
-    std::cerr << "mph-lint: --vacuity/--coverage need requirements "
-                 "(--check, --spec or positional formulas)\n";
-    return 2;
-  }
+  const bool one_model = model_names.size() == 1;
+  const bool no_requirements = check_formulas.empty() && spec_files.empty() && formulas.empty();
   const bool classify_run = classify_props || print_normal || strict_class.has_value();
-  if (classify_run && check_formulas.empty() && spec_files.empty() && formulas.empty()) {
-    std::cerr << "mph-lint: --classify/--normalize/--strict-class need requirements "
-                 "(--check, --spec or positional formulas)\n";
-    return 2;
-  }
-  if (subsume && check_formulas.empty() && spec_files.empty() && formulas.empty()) {
-    std::cerr << "mph-lint: --subsume needs requirements "
-                 "(--check, --spec or positional formulas)\n";
+  const std::pair<bool, const char*> misuses[] = {
+      {!check_formulas.empty() && !one_model, "--check needs exactly one --model"},
+      {absint && !one_model, "--absint needs exactly one --model"},
+      {(vacuity || coverage) && !one_model, "--vacuity/--coverage need exactly one --model"},
+      {(vacuity || coverage) && no_requirements,
+       "--vacuity/--coverage need requirements (--check, --spec or positional formulas)"},
+      {classify_run && no_requirements,
+       "--classify/--normalize/--strict-class need requirements "
+       "(--check, --spec or positional formulas)"},
+      {subsume && no_requirements,
+       "--subsume needs requirements (--check, --spec or positional formulas)"},
+  };
+  for (const auto& [misused, message] : misuses) {
+    if (!misused) continue;
+    std::cerr << "mph-lint: " << message << "\n";
     return 2;
   }
 
@@ -338,7 +296,7 @@ int main(int argc, char** argv) {
     // Models first, then spec files, then command-line formulas (one shared
     // engine: subjects keep the findings apart).
     for (const auto& name : model_names) {
-      auto model = make_model(name);
+      auto model = fts::programs::find_model(name);
       if (!model) {
         std::cerr << "mph-lint: unknown model '" << name << "' (see --list-models)\n";
         return 2;
