@@ -2,13 +2,12 @@
 // telemetry edition):
 //   1. the tab10 mutex matrix reproduced through the batch API `check_all`
 //      (and cross-checked against sequential `check`);
-//   2. early-exit: on seeded violating models the SCC engine builds
+//   2. early-exit: on seeded violating models the product search builds
 //      strictly fewer product states than the full state-graph × automaton
 //      bound, and the reported counterexample replays to a genuine
 //      violation under the independent lasso evaluator;
 //   3. batching: `check_all` (one exploration, shared label caches) is
-//      timed against repeated `check` on the semaphore mutex family, with
-//      and without worker threads.
+//      timed against repeated `check` on the semaphore mutex family.
 // Results land in BENCH_checker.json (schema validated by
 // scripts/validate_bench_checker.py; `ctest -L bench-smoke`).
 //
@@ -18,7 +17,6 @@
 // the ctest smoke run.
 #include <chrono>
 #include <fstream>
-#include <thread>
 
 #include "bench/bench_util.hpp"
 #include "src/analysis/diagnostics.hpp"
@@ -111,17 +109,17 @@ std::vector<MatrixRow> run_matrix() {
   return rows;
 }
 
-/// 2. Early exit on seeded violating models: the SCC engine must stop
+/// 2. Early exit on seeded violating models: the product search must stop
 /// strictly below the full product bound, with a genuine trace.
 std::vector<EarlyExitRow> run_early_exit() {
   std::vector<EarlyExitRow> rows;
   auto run = [&](const std::string& model, Program prog, const std::string& spec_text,
-                 bool expect_fallback) {
+                 fts::CheckEngine expect_engine, bool expect_fallback) {
     auto spec = ltl::parse_formula(spec_text);
     auto result = fts::check(prog.system, spec, prog.atoms);
     const auto& s = result.stats;
     BENCH_CHECK(!result.holds, ("seeded violation found on " + model).c_str());
-    BENCH_CHECK(s.engine == fts::CheckEngine::Scc, ("SCC engine used on " + model).c_str());
+    BENCH_CHECK(s.engine == expect_engine, ("acceptance shape on " + model).c_str());
     BENCH_CHECK(s.nba_fallback == expect_fallback,
                 ("compile route on " + model).c_str());
     BENCH_CHECK(s.product_states < s.product_bound,
@@ -130,9 +128,12 @@ std::vector<EarlyExitRow> run_early_exit() {
     BENCH_CHECK(replayed, ("counterexample replays to a violation on " + model).c_str());
     rows.push_back({model, spec_text, s, replayed});
   };
-  run("dining-3", fts::programs::dining(3), "G !deadlock", false);
-  run("producer-consumer-8", fts::programs::producer_consumer(8), "G !full", false);
-  run("dining-2", fts::programs::dining(2), "(F eat1) U deadlock", true);
+  using fts::CheckEngine;
+  run("dining-3", fts::programs::dining(3), "G !deadlock", CheckEngine::SafetyPrefix, false);
+  run("producer-consumer-8", fts::programs::producer_consumer(8), "G !full",
+      CheckEngine::SafetyPrefix, false);
+  run("dining-2", fts::programs::dining(2), "((F eat1) U hungry1) U deadlock", CheckEngine::Scc,
+      true);
   return rows;
 }
 
@@ -140,8 +141,7 @@ struct Timing {
   std::string model;
   std::size_t n_specs = 0;
   int repeats = 0;
-  unsigned threads = 0;
-  double repeated_seconds = 0, batch1_seconds = 0, batchn_seconds = 0;
+  double repeated_seconds = 0, batch1_seconds = 0;
 };
 
 /// 3. Batch vs repeated checking on the semaphore mutex family.
@@ -159,7 +159,6 @@ Timing run_timing(bool quick) {
   t.model = "semaphore-strong-" + std::to_string(n);
   t.n_specs = specs.size();
   t.repeats = quick ? 1 : 5;
-  t.threads = std::max(2u, std::min(4u, std::thread::hardware_concurrency()));
 
   t.repeated_seconds = best_seconds(t.repeats, [&] {
     for (const auto& spec : specs)
@@ -168,17 +167,12 @@ Timing run_timing(bool quick) {
   t.batch1_seconds = best_seconds(t.repeats, [&] {
     benchmark::DoNotOptimize(fts::check_all(prog.system, specs, prog.atoms));
   });
-  fts::CheckOptions multi;
-  multi.threads = t.threads;
-  t.batchn_seconds = best_seconds(t.repeats, [&] {
-    benchmark::DoNotOptimize(fts::check_all(prog.system, specs, prog.atoms, multi));
-  });
 
-  // Verdicts agree between all three runs (spot-check: batch vs sequential).
-  auto batch = fts::check_all(prog.system, specs, prog.atoms, multi);
+  // Verdicts agree between both runs (spot-check: batch vs sequential).
+  auto batch = fts::check_all(prog.system, specs, prog.atoms);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     BENCH_CHECK(batch[i].holds == fts::check(prog.system, specs[i], prog.atoms).holds,
-                "threaded check_all agrees with check");
+                "check_all agrees with check");
   }
   if (!quick)
     BENCH_CHECK(t.batch1_seconds < t.repeated_seconds,
@@ -219,10 +213,8 @@ void write_json(const std::string& path, bool quick, const std::vector<MatrixRow
       << "    \"model\": \"" << analysis::json_escape(t.model) << "\",\n"
       << "    \"specs\": " << t.n_specs << ",\n"
       << "    \"repeats\": " << t.repeats << ",\n"
-      << "    \"threads\": " << t.threads << ",\n"
       << "    \"repeated_check_seconds\": " << t.repeated_seconds << ",\n"
       << "    \"check_all_1_seconds\": " << t.batch1_seconds << ",\n"
-      << "    \"check_all_n_seconds\": " << t.batchn_seconds << ",\n"
       << "    \"batch_speedup\": " << (t.repeated_seconds / std::max(t.batch1_seconds, 1e-12))
       << "\n  }\n}\n";
 }
@@ -284,9 +276,8 @@ int main(int argc, char** argv) {
   write_json(out_path, quick, matrix, early, t);
   std::printf(
       "T11: matrix reproduced via check_all; early exit confirmed on %zu models;\n"
-      "     repeated %.4fs vs batch %.4fs vs batch×%u %.4fs over %zu specs -> %s\n",
-      early.size(), t.repeated_seconds, t.batch1_seconds, t.threads, t.batchn_seconds,
-      t.n_specs, out_path.c_str());
+      "     repeated %.4fs vs batch %.4fs over %zu specs -> %s\n",
+      early.size(), t.repeated_seconds, t.batch1_seconds, t.n_specs, out_path.c_str());
 
   if (quick) return 0;
   int rest_argc = static_cast<int>(rest.size());

@@ -1,18 +1,16 @@
-// Experiment T14 — ΔΓ-normalization-driven engine dispatch
-// (docs/NORMALIZATION.md):
+// Experiment T14 — ΔΓ-normalization in the checker (docs/NORMALIZATION.md):
 //   1. exact classification outruns the syntactic rules: `G((p U q) | G p)`
 //      is syntactically recurrence but exactly safety, its negation
 //      syntactically persistence but exactly guarantee —
 //      `ltl::exact_classification` must establish both; and the checker
-//      must route the battery's outside-fragment safety/guarantee specs
-//      (e.g. `F(t1 & F c1)`) to the SafetyPrefix / GuaranteeDual shortcut
-//      engines by compiling their normal forms (`class_source ==
+//      must give the battery's outside-fragment safety/guarantee specs
+//      (e.g. `F(t1 & F c1)`) the SafetyPrefix / GuaranteeDual acceptance
+//      shapes by compiling their normal forms (`class_source ==
 //      normalized`);
-//   2. routing census: with `class_dispatch` on, the run with
-//      `normalize_steps = 512` lands strictly more checks on each shortcut
-//      engine than the run with normalization disabled
-//      (`normalize_steps = 0`), and a raw run (dispatch off) touches no
-//      shortcut at all. Verdicts are identical across all three runs.
+//   2. routing census: the run with `normalize_steps = 512` gives strictly
+//      more checks each class shape than the run with normalization
+//      disabled (`normalize_steps = 0`). Verdicts are identical across both
+//      runs.
 // Results land in BENCH_normalize.json (schema validated by
 // scripts/validate_bench_normalize.py; `ctest -L bench-smoke`).
 //
@@ -56,15 +54,15 @@ std::string json_bool(bool b) { return b ? "true" : "false"; }
 
 /// The battery over an n-process mutex program (atoms t<i>, c<i>). Three
 /// strata per pair/process:
-///   - in-fragment shortcuts (`G !(ci & cj)`, `F ci`): the syntactic class
-///     is visible and the old rewrite fragment compiles them — both
-///     dispatched runs route these, normalization never consulted;
+///   - in-fragment class shapes (`G !(ci & cj)`, `F ci`): the syntactic
+///     class is visible and the old rewrite fragment compiles them — both
+///     runs give these the class shape, normalization never consulted;
 ///   - normalization rescues (`G(ci | G cj)`, its negation, `F(ti & F ci)`):
 ///     syntactically safety/guarantee but with nested future operators the
 ///     old fragment rejects — without a normal form to compile they fall
-///     back to the ω-engines, with one they reach the shortcut engines
-///     (class_source == normalized);
-///   - genuine recurrence (`G(ti -> F ci)`): no shortcut fits in any
+///     back to the NBA tableau and the general acceptance, with one they
+///     get the class shape (class_source == normalized);
+///   - genuine recurrence (`G(ti -> F ci)`): no class shape fits in any
 ///     configuration.
 std::vector<ltl::Formula> battery(std::size_t n) {
   std::vector<ltl::Formula> specs;
@@ -115,16 +113,12 @@ struct Run {
   double seconds = 0;
 };
 
-/// The three configurations under comparison. Normalized and Syntactic both
-/// dispatch on class; they differ only in whether the checker may consult
-/// the ΔΓ-normalizer when the syntactic class fits no shortcut.
-enum class Mode { Normalized, Syntactic, Raw };
-
-Run run_checks(const Program& prog, const std::vector<ltl::Formula>& specs, Mode mode,
+/// The two configurations under comparison differ only in whether the
+/// checker may consult the ΔΓ-normalizer.
+Run run_checks(const Program& prog, const std::vector<ltl::Formula>& specs, bool normalize,
                int repeats) {
   fts::CheckOptions opts;
-  opts.class_dispatch = mode != Mode::Raw;
-  opts.normalize_steps = mode == Mode::Normalized ? 512 : 0;
+  opts.normalize_steps = normalize ? 512 : 0;
   Run run;
   run.seconds = best_seconds(
       repeats, [&] { run.results = fts::check_all(prog.system, specs, prog.atoms, opts); });
@@ -137,7 +131,7 @@ Run run_checks(const Program& prog, const std::vector<ltl::Formula>& specs, Mode
 struct ModelReport {
   std::string model;
   std::vector<ltl::Formula> specs;
-  Run normalized, syntactic, raw;
+  Run normalized, syntactic;
   double speedup = 0;  // syntactic-dispatch seconds / normalized-dispatch seconds
   bool verdicts_agree = false;
 };
@@ -147,47 +141,43 @@ ModelReport compare(const std::string& name, const Program& prog, std::size_t n_
   ModelReport rep;
   rep.model = name;
   rep.specs = battery(n_processes);
-  rep.normalized = run_checks(prog, rep.specs, Mode::Normalized, repeats);
-  rep.syntactic = run_checks(prog, rep.specs, Mode::Syntactic, repeats);
-  rep.raw = run_checks(prog, rep.specs, Mode::Raw, repeats);
+  rep.normalized = run_checks(prog, rep.specs, true, repeats);
+  rep.syntactic = run_checks(prog, rep.specs, false, repeats);
   rep.speedup = rep.syntactic.seconds / std::max(rep.normalized.seconds, 1e-12);
 
   rep.verdicts_agree = true;
   for (std::size_t i = 0; i < rep.specs.size(); ++i) {
-    if (rep.normalized.results[i].holds != rep.syntactic.results[i].holds ||
-        rep.normalized.results[i].holds != rep.raw.results[i].holds)
+    if (rep.normalized.results[i].holds != rep.syntactic.results[i].holds)
       rep.verdicts_agree = false;
   }
   BENCH_CHECK(rep.verdicts_agree,
               ("normalization changes no verdict on " + name).c_str());
 
   // The claim the experiment pins: normalization strictly widens BOTH
-  // shortcut engines' reach — the battery's written-high specs only get
-  // there through their normal forms.
-  const Tally &tn = rep.normalized.tally, &ts = rep.syntactic.tally, &tr = rep.raw.tally;
+  // class shapes' reach — the battery's written-high specs only get there
+  // through their normal forms.
+  const Tally &tn = rep.normalized.tally, &ts = rep.syntactic.tally;
   BENCH_CHECK(tn.safety_prefix > ts.safety_prefix,
-              ("normalization routes strictly more checks to the closed-prefix scan on " +
+              ("normalization gives strictly more checks the bad-prefix stop on " +
                name).c_str());
   BENCH_CHECK(tn.guarantee_dual > ts.guarantee_dual,
-              ("normalization routes strictly more checks through the safety dual on " +
+              ("normalization gives strictly more checks the guarantee dual on " +
                name).c_str());
   BENCH_CHECK(tn.src_normalized > 0 && ts.src_normalized == 0,
               ("only the normalized run reports class_source == normalized on " + name).c_str());
-  BENCH_CHECK(tr.safety_prefix == 0 && tr.guarantee_dual == 0 && tr.src_none == rep.specs.size(),
-              ("the raw run never leaves the general engines on " + name).c_str());
-  // A rescued check is one the syntactic classifier could not place: its
-  // engine must be a shortcut and it must have paid at least one rewrite.
+  // A rescued check is one only the normal form could shape: it must take a
+  // class shape and must have paid at least one rewrite.
   for (const auto& r : rep.normalized.results) {
     if (r.stats.class_source != fts::ClassSource::Normalized) continue;
     BENCH_CHECK(r.stats.engine == fts::CheckEngine::SafetyPrefix ||
                     r.stats.engine == fts::CheckEngine::GuaranteeDual,
-                "a normalized class_source lands on a shortcut engine");
+                "a normalized class_source lands on a class shape");
     BENCH_CHECK(r.stats.normalize_steps > 0, "a rescued check reports its rewrite steps");
   }
-  // The genuine recurrence requirements stay on the ω-product engines in
-  // every configuration — normalization never *invents* a shortcut.
+  // The genuine recurrence requirements keep the general acceptance in
+  // every configuration — normalization never *invents* a class shape.
   BENCH_CHECK(tn.scc >= n_processes,
-              ("the response requirements stay on the general engines on " + name).c_str());
+              ("the response requirements keep the general acceptance on " + name).c_str());
   return rep;
 }
 
@@ -249,8 +239,6 @@ void write_json(const std::string& path, bool quick, const std::vector<ModelRepo
     write_run(out, r.normalized);
     out << ",\n              \"syntactic\": ";
     write_run(out, r.syntactic);
-    out << ",\n              \"raw\": ";
-    write_run(out, r.raw);
     out << "},\n     \"rescued\": " << rescued << ", \"speedup\": " << r.speedup
         << ", \"verdicts_agree\": " << json_bool(r.verdicts_agree) << "}"
         << (i + 1 < reports.size() ? "," : "") << "\n";
@@ -265,7 +253,6 @@ void bench_check_battery(benchmark::State& state) {
   Program prog = fts::programs::semaphore_mutex(n, fts::Fairness::Weak);
   const auto specs = battery(n);
   fts::CheckOptions opts;
-  opts.class_dispatch = true;
   opts.normalize_steps = state.range(1) != 0 ? 512 : 0;
   for (auto _ : state)
     benchmark::DoNotOptimize(fts::check_all(prog.system, specs, prog.atoms, opts));
@@ -311,7 +298,7 @@ int main(int argc, char** argv) {
   write_json(out_path, quick, reports);
   const auto& heavy = reports.back();
   std::printf(
-      "T14: normalization rescues %zu/%zu checks to shortcut engines on %s\n"
+      "T14: normalization rescues %zu/%zu checks to class shapes on %s\n"
       "     (safety-prefix %zu->%zu, guarantee-dual %zu->%zu; verdicts agree) -> %s\n",
       heavy.normalized.tally.src_normalized, heavy.specs.size(), heavy.model.c_str(),
       heavy.syntactic.tally.safety_prefix, heavy.normalized.tally.safety_prefix,

@@ -1,9 +1,9 @@
 // Experiment T18 — exploration-free static proofs (docs/ABSINT.md):
 //   1. agreement: on every symbolic dining-N / ring-N family, the safety
 //      spec 'G alarmlo' is certified by the interval static prover (engine
-//      "static", 0 states explored) and re-checked by the ω-product engine
-//      and the class-dispatched safety-prefix scan — all three verdicts
-//      must be identical (checked in-process, not just in the JSON);
+//      "static", 0 states explored) and re-checked by the product search —
+//      both verdicts must be identical (checked in-process, not just in the
+//      JSON);
 //   2. timing: per model, the static path vs the cheapest exploration path;
 //   3. the battery summary sums both sides so the validator can gate the
 //      whole-battery speedup of the statically-provable subset.
@@ -53,10 +53,10 @@ struct Row {
   double seconds = 0;
 };
 
-/// One model through all three paths: the static prover (certification off —
-/// timing the exploration-free path is the point), the plain ω-product, and
-/// the class-dispatched safety scan. Asserts three-way verdict agreement and
-/// that the static path really explored nothing.
+/// One model through both paths: the static prover (certification off —
+/// timing the exploration-free path is the point) and the product search.
+/// Asserts verdict agreement and that the static path really explored
+/// nothing.
 void run_model(const std::string& name, const fts::FtsSpec& spec_model, int repeats,
                std::vector<Row>& rows, double& static_total, double& explore_total) {
   const fts::Fts sys = spec_model.build();
@@ -67,22 +67,18 @@ void run_model(const std::string& name, const fts::FtsSpec& spec_model, int repe
   popts.certify = false;
   fts::CheckOptions static_opts;
   static_opts.static_prover = analysis::make_static_prover(spec_model, popts);
-  fts::CheckOptions explore_opts;  // plain ω-product
-  fts::CheckOptions dispatch_opts;
-  dispatch_opts.class_dispatch = true;  // safety-prefix scan
+  fts::CheckOptions explore_opts;  // exploration + product search
 
   const fts::CheckResult r_static = fts::check(sys, spec, atoms, static_opts);
   const fts::CheckResult r_explore = fts::check(sys, spec, atoms, explore_opts);
-  const fts::CheckResult r_dispatch = fts::check(sys, spec, atoms, dispatch_opts);
-  BENCH_CHECK(is_complete(r_static.outcome) && is_complete(r_explore.outcome) &&
-                  is_complete(r_dispatch.outcome),
-              ("all three paths complete on " + name).c_str());
+  BENCH_CHECK(is_complete(r_static.outcome) && is_complete(r_explore.outcome),
+              ("both paths complete on " + name).c_str());
   BENCH_CHECK(r_static.stats.engine == fts::CheckEngine::StaticProof,
               ("static path taken on " + name).c_str());
   BENCH_CHECK(r_static.stats.state_graph_nodes == 0 && r_static.stats.product_states == 0,
               ("static path explored zero states on " + name).c_str());
-  BENCH_CHECK(r_static.holds && r_explore.holds && r_dispatch.holds,
-              ("all three paths agree that 'G alarmlo' holds on " + name).c_str());
+  BENCH_CHECK(r_static.holds && r_explore.holds,
+              ("both paths agree that 'G alarmlo' holds on " + name).c_str());
 
   struct Leg {
     const char* path;
@@ -93,8 +89,7 @@ void run_model(const std::string& name, const fts::FtsSpec& spec_model, int repe
   // analysis, same as each exploration leg rebuilds its product: every leg
   // times one cold fts::check call.
   const Leg legs[] = {{"static", &static_opts, &r_static},
-                      {"explore", &explore_opts, &r_explore},
-                      {"dispatch", &dispatch_opts, &r_dispatch}};
+                      {"explore", &explore_opts, &r_explore}};
   for (const Leg& leg : legs) {
     fts::CheckOptions opts = *leg.opts;
     const double secs = best_seconds(repeats, [&] {
@@ -105,10 +100,7 @@ void run_model(const std::string& name, const fts::FtsSpec& spec_model, int repe
     rows.push_back({name, leg.path, std::string(to_string(leg.result->stats.engine)),
                     leg.result->holds, leg.result->stats.state_graph_nodes,
                     leg.result->stats.product_states, secs});
-    if (std::string(leg.path) == "static")
-      static_total += secs;
-    else if (std::string(leg.path) == "explore")
-      explore_total += secs;
+    (std::string(leg.path) == "static" ? static_total : explore_total) += secs;
   }
 }
 

@@ -27,6 +27,7 @@ import sys
 # checks under it exhaust and the vacuity verdict is unknown (MPH-Y005).
 VACUOUS = "G !(c1 & c2)"
 LIVENESS = "G(t1 -> F c1)"
+ELEVEN_ATOMS = "G !(" + " & ".join(f"eat{i}" for i in range(1, 12)) + ")"
 
 CASES = [
     # (expected exit code, description, args)
@@ -101,19 +102,22 @@ CASES = [
     (2, "--vacuity without requirements", ["--model", "peterson", "--vacuity"]),
     (2, "missing flag argument", ["--model"]),
     # Malformed numeric flag values: all usage errors, never crashes.
-    (2, "non-numeric --threads", ["--model", "peterson", "--threads", "abc",
-                                  "--check", LIVENESS]),
+    (2, "non-numeric --budget-states", ["--model", "peterson", "--budget-states", "abc",
+                                        "--check", LIVENESS]),
     (2, "trailing garbage in --budget-ms",
      ["--model", "peterson", "--budget-ms", "1e9x", "--check", LIVENESS]),
     (2, "negative --budget-states",
      ["--model", "peterson", "--budget-states", "-5", "--check", LIVENESS]),
-    (2, "out-of-range --threads",
-     ["--model", "peterson", "--threads", "99999", "--check", LIVENESS]),
+    (2, "out-of-range --budget-ms",
+     ["--model", "peterson", "--budget-ms", "99999999999999999999", "--check", LIVENESS]),
     (2, "overflowing --normalize-steps",
      ["--quiet", "--classify", "--normalize-steps", "99999999999999999999",
       "G p"]),
-    (2, "empty --threads value", ["--model", "peterson", "--threads", "",
-                                  "--check", LIVENESS]),
+    (2, "empty --budget-states value", ["--model", "peterson", "--budget-states", "",
+                                        "--check", LIVENESS]),
+    # A spec over more atoms than a propositional alphabet holds is a plain
+    # usage refusal naming the limit (REFUSALS pins the message).
+    (2, "11-atom --check spec", ["--model", "dining-11", "--check", ELEVEN_ATOMS]),
     # --absint: interval abstract interpretation over the symbolic model
     # (docs/ABSINT.md). dining-N carries a dead escalate transition and
     # wrapping put_downs, so the findings are warnings: 0 plain, 1 --werror.
@@ -152,6 +156,24 @@ SERVE_CASES = [
 ]
 
 
+# mph-lint refusals whose stderr must name the problem, without a source
+# path or an internal "requirement failed": (args, text the message holds).
+REFUSALS = [
+    (["--model", "dining-11", "--check", ELEVEN_ATOMS], "at most 10"),
+]
+
+
+def check_refusals(lint):
+    failures = 0
+    for args, expected in REFUSALS:
+        err = subprocess.run([lint, *args], capture_output=True, text=True).stderr
+        if expected not in err or "requirement failed" in err or "/src/" in err:
+            failures += 1
+            print(f"FAIL: mph-lint: refusal of {args} must say '{expected}' with no "
+                  f"source path\n  stderr: {err.strip()[:300]}", file=sys.stderr)
+    return failures
+
+
 def run_battery(binary, cases, tool):
     failures = 0
     for expected, description, args in cases:
@@ -186,8 +208,8 @@ def main():
                   file=sys.stderr)
             sys.exit(2)
 
-    failures = run_battery(lint, CASES, "mph-lint")
-    total = len(CASES)
+    failures = run_battery(lint, CASES, "mph-lint") + check_refusals(lint)
+    total = len(CASES) + len(REFUSALS)
     if fuzz:
         failures += run_battery(fuzz, FUZZ_CASES, "mph-fuzz")
         total += len(FUZZ_CASES)

@@ -8,9 +8,10 @@ response —
   * request ids echo back; unknown ops and malformed JSON come back as
     structured errors without killing the daemon;
   * content-addressed caching: repeated specs hit, duplicate specs within
-    one batch dedup onto a single computation, engine-option variants
-    (class_dispatch, normalize_steps) are keyed separately with agreeing
-    verdicts, and a model delta invalidates only its own digest;
+    one batch dedup onto a single computation, the engine option
+    normalize_steps is keyed separately with an agreeing verdict, the
+    ignored fields class_dispatch and threads change neither the cache key
+    nor the engine, and a model delta invalidates only its own digest;
   * budget_ms: 0 on an uncached spec yields a well-formed budget-deadline
     Unknown with MPH-V004, and the exhausted result is never cached;
   * the stats op's counters agree with the stream the daemon just served.
@@ -46,7 +47,7 @@ REQUESTS = [
      "specs": [SAFETY, LIVENESS, SAFETY]},                    # in-batch duplicate
     {"op": "check", "id": 5, "model": "peterson", "specs": [SAFETY]},
     {"op": "check", "id": 6, "model": "peterson", "specs": [SAFETY],
-     "class_dispatch": True},                                 # separate cache key
+     "class_dispatch": False, "threads": 4},                  # ignored fields
     {"op": "check", "id": 7, "model": "peterson", "specs": [SAFETY],
      "normalize_steps": 0},                                   # separate cache key
     {"op": "check", "id": 8, "model": TOGGLE, "specs": ["F xhi", "G xlo"]},
@@ -77,6 +78,8 @@ REQUESTS = [
      "specs": ["G p"]},                                       # duplicate var name
     {"op": "check", "id": 23, "model": "dining-99",
      "specs": ["G !deadlock"]},                               # family size out of range
+    {"op": "check", "id": 24, "model": "dining-11",
+     "specs": ["G !(" + " & ".join(f"eat{i}" for i in range(1, 12)) + ")"]},  # 11 atoms
     "this is not json",
     {"op": "stats", "id": 19},
 ]
@@ -150,16 +153,15 @@ def main():
            and result_of(warm)["verdict"] == "holds",
            "repeated (model, spec) must hit the verdict cache", warm)
 
-    dispatch = by_id[6]
-    expect(result_of(dispatch)["cache"] == "miss",
-           "class_dispatch must be keyed separately from the default route",
-           dispatch)
-    expect(result_of(dispatch)["verdict"] == "holds",
-           "class_dispatch verdict must agree", dispatch)
-    expect(result_of(dispatch)["engine"] != result_of(warm)["engine"],
-           "class_dispatch must actually change the engine", dispatch)
-    expect(dispatch["options_digest"] != warm["options_digest"],
-           "options digest must differ under class_dispatch", dispatch)
+    ignored = by_id[6]
+    expect(result_of(ignored)["cache"] == "hit"
+           and result_of(ignored)["verdict"] == "holds",
+           "class_dispatch and threads are ignored: the default entry answers",
+           ignored)
+    expect(result_of(ignored)["engine"] == result_of(warm)["engine"],
+           "ignored fields must not change the engine", ignored)
+    expect(ignored["options_digest"] == warm["options_digest"],
+           "ignored fields must not change the options digest", ignored)
 
     steps = by_id[7]
     expect(result_of(steps)["cache"] == "miss"
@@ -250,6 +252,13 @@ def main():
            and "/src/" not in oor["error"]["message"],
            "an out-of-range family is a bad-request naming the range, "
            "with no source path", oor)
+    wide = by_id[24]
+    expect(not wide["ok"] and wide["error"]["code"] == "bad-request"
+           and "at most 10" in wide["error"]["message"]
+           and "requirement failed" not in wide["error"]["message"]
+           and "/src/" not in wide["error"]["message"],
+           "an 11-atom spec is a bad-request naming the limit, "
+           "with no source path", wide)
     expect(not by_id[18]["ok"]
            and by_id[18]["error"]["code"] == "bad-request",
            "malformed budget_states is a structured bad-request", by_id[18])
@@ -266,12 +275,12 @@ def main():
     endpoints = stats["endpoints"]
     expect(endpoints["parse"]["count"] == 2
            and endpoints["classify"]["count"] == 2
-           and endpoints["check"]["count"] == 15
+           and endpoints["check"]["count"] == 16
            and endpoints["vacuity"]["count"] == 1
            and endpoints["invalid"]["count"] == 1
            and endpoints["bogus-op"]["count"] == 1,
            "per-endpoint request counts", by_id[19])
-    expect(endpoints["check"]["errors"] == 4,   # ids 17, 18, 22 and 23
+    expect(endpoints["check"]["errors"] == 5,   # ids 17, 18, 22, 23 and 24
            "check endpoint error count", by_id[19])
     expect(stats["budget_exhaustions"] == 1, "budget exhaustion count",
            by_id[19])
@@ -279,7 +288,7 @@ def main():
            and stats["caches"]["implications"]["checks"] >= 1,
            "subsume hit / implication-check counters", by_id[19])
     verdict = stats["caches"]["verdict"]
-    expect(verdict["hits"] == 2 and verdict["dedup"] == 1,
+    expect(verdict["hits"] == 3 and verdict["dedup"] == 1,
            "verdict cache hit/dedup counters", by_id[19])
     expect(endpoints["check"]["p50_us"] > 0,
            "latency percentiles must be populated", by_id[19])

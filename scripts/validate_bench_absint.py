@@ -7,11 +7,11 @@ Usage: validate_bench_absint.py PATH
 Checks the documented schema, then the substance of experiment T18
 (docs/ABSINT.md):
 
-- every model has exactly one row per path (static / explore / dispatch);
+- every model has exactly one row per path (static / explore);
 - the static row reports engine "static", holds=true and zero states
   explored / zero product states — an exploration-free proof, not a cheap
   exploration;
-- all three paths agree on the verdict within each model;
+- both paths agree on the verdict within each model;
 - the battery summary is consistent with the rows, and the whole-battery
   speedup of the static path over plain exploration reaches the 5x floor.
   The floor applies to quick runs too: the fixpoint is microseconds while
@@ -25,7 +25,7 @@ import json
 import sys
 
 SPEEDUP_FLOOR = 5.0
-PATHS = ("static", "explore", "dispatch")
+PATHS = ("static", "explore")
 
 
 def fail(msg):

@@ -45,7 +45,6 @@ CoverageResult analyze_coverage(const fts::Fts& system, const fts::ExploreResult
   CoverageResult result;
   fts::CheckOptions co = options.check;
   co.diagnostics = nullptr;
-  co.class_dispatch = options.class_dispatch;
 
   const auto base = fts::check_all(system, explored, specs, atoms, co);
   for (const auto& r : base)

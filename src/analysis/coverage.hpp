@@ -17,10 +17,8 @@ namespace mph::analysis {
 
 struct CoverageOptions {
   /// Engine options for the base and per-variant checks; diagnostics are
-  /// ignored (only MPH-Y findings are reported), and `check.class_dispatch`
-  /// is overridden by `class_dispatch`.
+  /// ignored (only MPH-Y findings are reported).
   fts::CheckOptions check;
-  bool class_dispatch = true;
 };
 
 struct TransitionCoverage {

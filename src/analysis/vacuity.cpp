@@ -6,7 +6,6 @@
 
 #include "src/ltl/eval.hpp"
 #include "src/ltl/hierarchy.hpp"
-#include "src/ltl/syntactic.hpp"
 #include "src/omega/lasso.hpp"
 #include "src/support/check.hpp"
 
@@ -61,19 +60,14 @@ const Formula* antecedent_of(const Formula& requirement) {
   return p.is_state() ? &p : nullptr;
 }
 
-/// Mirrors check_one's routing: is there any engine that can take this
-/// formula? (det(¬f); det(f) for a dispatchable safety formula; the
-/// future-only NBA tableau.) Mutants that fail this screen are skipped —
-/// feeding them to check_all would throw out of the whole batch.
-bool checkable(const Formula& f, const lang::Alphabet& alphabet, bool dispatch) {
-  try {
-    (void)ltl::compile(ltl::f_not(f), alphabet);
-    return true;
-  } catch (const std::invalid_argument&) {
-  }
-  if (dispatch && ltl::syntactic_classification(f).safety) {
+/// Mirrors the checker's ¬spec sources: is there any that can take this
+/// formula? (det(¬f); det(f), complemented; the future-only NBA tableau.)
+/// Mutants that fail this screen are skipped — feeding them to check_all
+/// would throw out of the whole batch.
+bool checkable(const Formula& f, const lang::Alphabet& alphabet) {
+  for (const Formula& g : {ltl::f_not(f), f}) {
     try {
-      (void)ltl::compile(f, alphabet);
+      (void)ltl::compile(g, alphabet);
       return true;
     } catch (const std::invalid_argument&) {
     }
@@ -173,13 +167,12 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const fts::ExploreResult& 
 
   fts::CheckOptions co = options.check;
   co.diagnostics = nullptr;  // only MPH-Y findings leave this analyzer
-  co.class_dispatch = options.class_dispatch;
   const Budget budget = fts::effective_budget(co);
 
   const auto originals = fts::check_all(system, explored, specs, atoms, co);
 
   // Mutant batch: one check_all over every mutant of every requirement, so
-  // exploration / label caches / worker pool are shared across the lot.
+  // exploration and label caches are shared across the lot.
   std::vector<Formula> batch;
   std::vector<std::pair<std::size_t, std::size_t>> owner;  // (requirement, mutant index)
 
@@ -257,8 +250,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const fts::ExploreResult& 
           rv.mutants.push_back(std::move(mc));
           continue;
         }
-        if (!checkable(mutant, lang::Alphabet::of_props(mutant_atoms),
-                       options.class_dispatch)) {
+        if (!checkable(mutant, lang::Alphabet::of_props(mutant_atoms))) {
           ++result.stats.mutants_skipped;
           rv.mutants.push_back(std::move(mc));
           continue;

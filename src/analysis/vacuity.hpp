@@ -11,11 +11,10 @@
 //
 // Cost model: the model is explored once, and the requirements, the
 // antecedent scans and ONE fts::check_all batch over all mutants of all
-// requirements read that graph, so exploration, atom-label caches and the
-// worker pool are paid once per model; class-aware dispatch
-// (CheckOptions::class_dispatch) then routes safety mutants to the
-// closed-prefix scan and guarantee mutants through duality, keeping most
-// mutants off the ω-product path entirely. The
+// requirements read that graph, so exploration and atom-label caches are
+// paid once per model; the checker's class shapes then stop safety mutants
+// at a bad prefix and check guarantee mutants through duality, keeping most
+// mutants off the full ω-acceptance. The
 // □(p→q) antecedent shape short-circuits without any mutation: one
 // reachable-state labeling decides whether p is ever exercised (MPH-Y002).
 //
@@ -37,15 +36,10 @@ namespace mph::analysis {
 
 struct VacuityOptions {
   /// Engine options for the requirement and mutant checks (budget,
-  /// threads). `check.diagnostics` is ignored — the engine checks stay
-  /// silent and only the MPH-Y findings reach the DiagnosticEngine given to
-  /// analyze_vacuity. `check.class_dispatch` is overridden by
-  /// `class_dispatch` below.
+  /// normalization). `check.diagnostics` is ignored — the engine checks
+  /// stay silent and only the MPH-Y findings reach the DiagnosticEngine
+  /// given to analyze_vacuity.
   fts::CheckOptions check;
-  /// Route mutants per syntactic class (CheckEngine::SafetyPrefix /
-  /// GuaranteeDual). Off = every mutant takes the full ω-product path; the
-  /// tab13 bench measures the difference.
-  bool class_dispatch = true;
   /// The □(p→q) reachable-antecedent shortcut (MPH-Y002).
   bool antecedent_fast_path = true;
   /// Mutants beyond this per-requirement cap are counted as skipped.
@@ -58,9 +52,10 @@ struct MutantCheck {
   ltl::Polarity polarity;   ///< its polarity in the requirement
   std::string replacement;  ///< "true" or "false"
   std::string text;         ///< the full mutant formula
-  /// "constant", "safety-prefix", "guarantee-dual", "SCC"
-  /// (suffixed " (NBA)" on tableau fallback), or "skipped" (mixed polarity,
-  /// outside every engine's fragment, or over the mutant cap).
+  /// "constant", or the acceptance shape the search took: "safety-prefix",
+  /// "guarantee-dual", "SCC" (suffixed " (NBA)" on tableau fallback); or
+  /// "skipped" (mixed polarity, outside every ¬spec source, or over the
+  /// mutant cap).
   std::string engine = "skipped";
   Outcome outcome = Outcome::Complete;
   bool holds = false;
@@ -86,14 +81,14 @@ struct RequirementVacuity {
 
 std::string_view to_string(RequirementVacuity::Verdict v);
 
-/// Aggregate dispatch/verdict telemetry, surfaced by `mph-lint --vacuity`
-/// and BENCH_vacuity.json.
+/// Aggregate acceptance-shape/verdict telemetry, surfaced by
+/// `mph-lint --vacuity` and BENCH_vacuity.json.
 struct VacuityStats {
   std::size_t mutants_checked = 0;
   std::size_t mutants_skipped = 0;
-  std::size_t safety_prefix = 0;   ///< mutants decided by the closed-prefix scan
-  std::size_t guarantee_dual = 0;  ///< mutants decided through the safety dual
-  std::size_t scc = 0;             ///< mutants on the full ω-product (SCC engine)
+  std::size_t safety_prefix = 0;   ///< mutants searched for a bad prefix (⊥ acceptance)
+  std::size_t guarantee_dual = 0;  ///< mutants searched through the safety dual (⊤)
+  std::size_t scc = 0;             ///< mutants under the general ω-acceptance
   std::size_t constant = 0;        ///< atom-free mutants decided by evaluation
   std::size_t unknown = 0;         ///< mutants whose check exhausted its budget
 };

@@ -1,20 +1,18 @@
 #include "src/fts/checker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <span>
 #include <sstream>
-#include <thread>
 
 #include "src/ltl/hierarchy.hpp"
 #include "src/ltl/normalize.hpp"
 #include "src/ltl/syntactic.hpp"
 #include "src/ltl/to_nba.hpp"
+#include "src/omega/det_omega.hpp"
 #include "src/omega/emptiness.hpp"
 #include "src/omega/graph.hpp"
 #include "src/omega/nba.hpp"
@@ -86,9 +84,9 @@ constexpr std::size_t kMarkLimit = 64;
 /// Fairness marks: one per weak transition ("ok": disabled or just taken),
 /// two per strong transition (taken / enabled). ¬spec marks are shifted
 /// past them. The frame depends only on the system, so a batch shares it;
-/// the per-node marks are computed on first use, by the first spec that
-/// reaches the ω-product (safety-prefix and static verdicts never read
-/// them). Both accessors require mark_count() <= kMarkLimit.
+/// the per-node marks are computed on first use, by the first spec whose
+/// acceptance reads them (safety shapes and static verdicts do not). Both
+/// accessors require mark_count() <= kMarkLimit.
 class FairnessFrame {
  public:
   FairnessFrame(const Fts& system, const StateGraph& sg) : sg_(sg) {
@@ -114,20 +112,20 @@ class FairnessFrame {
   }
 
   const std::vector<MarkSet>& node_marks() const {
-    std::call_once(once_, [this] {
-      node_marks_.assign(sg_.nodes.size(), 0);
-      for (std::size_t n = 0; n < sg_.nodes.size(); ++n) {
-        const int last = sg_.nodes[n].last_taken;
-        MarkSet& marks = node_marks_[n];
-        for (std::size_t i = 0; i < weak_.size(); ++i)
-          if (!sg_.enabled[n][weak_[i]] || last == static_cast<int>(weak_[i]))
-            marks |= omega::mark_bit(weak_mark(i));
-        for (std::size_t i = 0; i < strong_.size(); ++i) {
-          if (last == static_cast<int>(strong_[i])) marks |= omega::mark_bit(taken_mark(i));
-          if (sg_.enabled[n][strong_[i]]) marks |= omega::mark_bit(taken_mark(i) + 1);
-        }
+    if (computed_) return node_marks_;
+    computed_ = true;
+    node_marks_.assign(sg_.nodes.size(), 0);
+    for (std::size_t n = 0; n < sg_.nodes.size(); ++n) {
+      const int last = sg_.nodes[n].last_taken;
+      MarkSet& marks = node_marks_[n];
+      for (std::size_t i = 0; i < weak_.size(); ++i)
+        if (!sg_.enabled[n][weak_[i]] || last == static_cast<int>(weak_[i]))
+          marks |= omega::mark_bit(weak_mark(i));
+      for (std::size_t i = 0; i < strong_.size(); ++i) {
+        if (last == static_cast<int>(strong_[i])) marks |= omega::mark_bit(taken_mark(i));
+        if (sg_.enabled[n][strong_[i]]) marks |= omega::mark_bit(taken_mark(i) + 1);
       }
-    });
+    }
     return node_marks_;
   }
 
@@ -137,7 +135,7 @@ class FairnessFrame {
 
   const StateGraph& sg_;
   std::vector<std::size_t> weak_, strong_;
-  mutable std::once_flag once_;
+  mutable bool computed_ = false;
   mutable std::vector<MarkSet> node_marks_;
 };
 
@@ -161,13 +159,15 @@ std::vector<lang::Symbol> label_nodes(const Fts& system, const StateGraph& sg,
 /// The ¬spec automaton as one flat successor table indexed by state ×
 /// symbol: the successors of q on s are succ[row[q·symbols + s] ..
 /// row[q·symbols + s + 1]). State marks are stored already shifted past the
-/// fairness marks.
+/// fairness marks. `universal[q]`: every word is accepted from q, so a
+/// product run that reaches q violates the spec whatever follows.
 struct NegSpec {
   std::vector<omega::State> initial;
   std::size_t symbols = 0;
   std::vector<std::uint32_t> row{0};
   std::vector<omega::State> succ;
   std::vector<MarkSet> marks;
+  std::vector<bool> universal;
 
   std::size_t state_count() const { return marks.size(); }
   std::span<const omega::State> next(omega::State q, lang::Symbol s) const {
@@ -185,21 +185,25 @@ struct NegSpec {
   }
 };
 
-/// Table of a deterministic ¬spec automaton. For the guarantee dual
-/// (`live` set) the dead states are dropped and their marks ignored: the
-/// accepting runs are exactly those that stay live.
-NegSpec tabulate(const omega::DetOmega& m, Mark shift, const std::vector<bool>* live) {
+/// Table of a deterministic ¬spec automaton. Dead (residual-empty) states
+/// are left out: no accepting run passes through one. Residual-universal
+/// states are flagged. With `keep_marks` false the marks are dropped, for
+/// the ⊥ and ⊤ acceptance shapes that read none.
+NegSpec tabulate(const omega::DetOmega& m, Mark shift, bool keep_marks) {
+  const std::vector<bool> live = omega::live_states(m);
+  const std::vector<bool> escapable = omega::live_states(omega::complement(m));
   NegSpec neg;
   neg.symbols = m.alphabet().size();
-  if (!live || (*live)[m.initial()]) neg.initial = {m.initial()};
-  const MarkSet used = live ? 0 : m.acceptance().mentioned_marks();
+  if (live[m.initial()]) neg.initial = {m.initial()};
+  const MarkSet used = keep_marks ? m.acceptance().mentioned_marks() : 0;
   std::vector<std::pair<lang::Symbol, omega::State>> edges;
   for (omega::State q = 0; q < m.state_count(); ++q) {
     edges.clear();
     for (lang::Symbol s = 0; s < neg.symbols; ++s)
-      if (!live || (*live)[m.next(q, s)]) edges.emplace_back(s, m.next(q, s));
+      if (live[m.next(q, s)]) edges.emplace_back(s, m.next(q, s));
     neg.add_row(edges);
     neg.marks.push_back(used ? (m.marks(q) & used) << shift : 0);
+    neg.universal.push_back(!escapable[q]);
   }
   return neg;
 }
@@ -215,6 +219,7 @@ NegSpec tabulate(const omega::Nba& n, Mark shift) {
                      [](const auto& a, const auto& b) { return a.first < b.first; });
     neg.add_row(edges);
     neg.marks.push_back(n.accepting(q) ? omega::mark_bit(shift) : 0);
+    neg.universal.push_back(false);
   }
   return neg;
 }
@@ -291,36 +296,42 @@ std::pair<std::vector<omega::State>, std::vector<omega::State>> lasso_in(
 /// component's marks satisfy the acceptance, read with Fin(m) as "m not in
 /// the set". A component that closes with Fin atoms still undecided goes,
 /// alone, to omega::find_good_loop. Successors are recomputed, never
-/// stored.
+/// stored. Reaching a residual-universal ¬spec state stops the search at
+/// once: the DFS stack is then a bad prefix.
 class ProductSearch {
  public:
-  /// Product pairs (indices into the interner) of a violating lasso.
+  /// Product pairs (indices into the interner) of a violating lasso. An
+  /// empty loop means a bad prefix: its last pair holds a universal ¬spec
+  /// state, and any fair continuation from its node completes the witness.
   struct Lasso {
     std::vector<std::uint32_t> prefix, loop;
   };
 
+  /// Searches from state-graph node `start`. Under ⊥ acceptance no marks
+  /// are read, and `fair_marks` may be empty.
   ProductSearch(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
                 const std::vector<MarkSet>& fair_marks, const NegSpec& neg, Acceptance acc,
-                const Budget& budget)
+                const Budget& budget, std::size_t start = 0)
       : sg_(sg),
         labels_(labels),
         fair_marks_(fair_marks),
         neg_(neg),
         acc_(std::move(acc)),
-        budget_(budget) {}
+        budget_(budget),
+        start_(start) {}
 
-  /// Some accepting product lasso, or nullopt when every fair computation
-  /// satisfies the spec.
+  /// Some accepting product lasso or bad prefix, or nullopt when every fair
+  /// computation satisfies the spec.
   std::optional<Lasso> run() {
     for (omega::State q0 : neg_.initial) {
-      const std::uint32_t start = intern(0, q0);
+      const std::uint32_t start = intern(start_, q0);
       if (index_[start] != kUnvisited) continue;
-      push(start);
+      if (push(start)) return bad_prefix();
       while (!frames_.empty()) {
         poll_budget();
         if (auto t = next_successor(frames_.back())) {
           if (index_[*t] == kUnvisited) {
-            push(*t);
+            if (push(*t)) return bad_prefix();
           } else if (index_[*t] != kDead) {
             // Back edge into the live stack: every root above the target
             // joins the target's component.
@@ -343,7 +354,8 @@ class ProductSearch {
         }
         const std::uint32_t pid = frames_.back().pid;
         frames_.pop_back();
-        if (roots_.back().index != index_[pid]) continue;  // its component is still open
+        if (roots_.empty() || roots_.back().index != index_[pid])
+          continue;  // its component is still open, or none is tracked
         const Root r = roots_.back();
         roots_.pop_back();
         const std::size_t base = r.index - 1;
@@ -399,11 +411,26 @@ class ProductSearch {
     return fair_marks_[node_of(pids_[pid])] | neg_.marks[aut_of(pids_[pid])];
   }
 
-  void push(std::uint32_t pid) {
-    live_.push_back(pid);
-    index_[pid] = static_cast<std::uint32_t>(live_.size());
-    roots_.push_back({index_[pid], marks_of(pid), false});
+  /// Pushes `pid` on the DFS stack; true when its ¬spec state is universal.
+  /// Under ⊥ no loop is accepting, so no component is tracked: the pair is
+  /// closed at once and the search is plain reachability.
+  bool push(std::uint32_t pid) {
+    if (acc_.is_false()) {
+      index_[pid] = kDead;
+    } else {
+      live_.push_back(pid);
+      index_[pid] = static_cast<std::uint32_t>(live_.size());
+      roots_.push_back({index_[pid], marks_of(pid), false});
+    }
     frames_.push_back({pid});
+    return neg_.universal[aut_of(pids_[pid])];
+  }
+
+  /// The DFS stack, which ends at the universal pair just pushed.
+  Lasso bad_prefix() const {
+    Lasso out;
+    for (const Frame& f : frames_) out.prefix.push_back(f.pid);
+    return out;
   }
 
   /// The frame's next product successor, interned; nullopt when exhausted.
@@ -479,6 +506,7 @@ class ProductSearch {
   const NegSpec& neg_;
   const Acceptance acc_;
   const Budget& budget_;
+  const std::size_t start_;
   std::uint64_t steps_ = 0;
   FlatInterner<std::uint64_t, IntHash> pids_;
   std::vector<std::uint32_t> index_;  // per pid
@@ -494,14 +522,50 @@ struct LabelCache {
   double seconds = 0.0;
 };
 
-/// Checks one compiled spec against an explored state graph. The caller
-/// provides the shared phases (exploration, fairness frame, labels); this
-/// runs compilation and the emptiness search and fills the per-spec stats.
-/// `diagnostics` overrides options.diagnostics (the batch hands each worker
-/// a private engine).
+/// A fair computation of the system from node `from`, as node indices
+/// (stem, loop); the stem starts at `from` unless the loop does. It comes
+/// from a fairness-only search (one ¬spec state, acceptance = fairness),
+/// which always succeeds: transition fairness is machine-closed. Past the
+/// mark limit it is the walk along first edges, which need not be fair.
+std::pair<std::vector<std::size_t>, std::vector<std::size_t>> fair_extension(
+    const StateGraph& sg, const FairnessFrame& fair, const LabelCache& cache, std::size_t from,
+    const Budget& budget) {
+  std::vector<std::size_t> stem, loop;
+  if (fair.mark_count() > kMarkLimit) {
+    std::vector<std::size_t> seen_at(sg.nodes.size(), SIZE_MAX);
+    for (std::size_t n = from; seen_at[n] == SIZE_MAX; n = sg.edges[n].front().first) {
+      seen_at[n] = stem.size();
+      stem.push_back(n);
+    }
+    const std::size_t back = seen_at[sg.edges[stem.back()].front().first];
+    loop.assign(stem.begin() + static_cast<std::ptrdiff_t>(back), stem.end());
+    stem.resize(back);
+    return {std::move(stem), std::move(loop)};
+  }
+  NegSpec any;
+  any.symbols = cache.alphabet.size();
+  any.initial = {0};
+  std::vector<std::pair<lang::Symbol, omega::State>> edges;
+  for (lang::Symbol s = 0; s < any.symbols; ++s) edges.emplace_back(s, 0);
+  any.add_row(edges);
+  any.marks = {0};
+  any.universal = {false};
+  ProductSearch search(sg, cache.labels, fair.node_marks(), any, fair.acceptance(), budget, from);
+  const auto lasso = search.run();
+  MPH_ASSERT(lasso && !lasso->loop.empty());
+  for (std::uint32_t pid : lasso->prefix) stem.push_back(search.node_of_pid(pid));
+  for (std::uint32_t pid : lasso->loop) loop.push_back(search.node_of_pid(pid));
+  return {std::move(stem), std::move(loop)};
+}
+
+/// Checks one spec against an explored state graph. The caller provides the
+/// shared phases (exploration, fairness frame, labels); this compiles ¬spec,
+/// picks the acceptance shape from the spec's class, runs the product
+/// search and fills the per-spec stats.
 CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair, const LabelCache& cache,
                       const ltl::Formula& spec, const Budget& budget,
-                      const CheckOptions& options, analysis::DiagnosticEngine* diagnostics) {
+                      const CheckOptions& options) {
+  analysis::DiagnosticEngine* const diagnostics = options.diagnostics;
   const std::string subject = "check '" + spec.to_string() + "'";
   CheckResult result;
   result.stats.state_graph_nodes = sg.nodes.size();
@@ -524,20 +588,14 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair, const Lab
     }
   };
 
-  const bool dispatch = options.class_dispatch;
-  core::Classification syn =
-      dispatch ? ltl::syntactic_classification(spec) : core::Classification{};
-  result.stats.class_source = dispatch ? ClassSource::Syntactic : ClassSource::None;
-
-  // ΔΓ-normalization rescue (lazy, memoized, budget-capped): a completed
-  // hierarchy normal form is an equivalent formula that (a) the syntactic
-  // rules classify sharply and (b) always compiles deterministically. It is
-  // consulted when the spec as written shows neither shortcut class, and
-  // again whenever a compile below falls out of the old rewrite fragment.
+  // ΔΓ-normalization (lazy, memoized, capped by normalize_steps): a
+  // completed hierarchy normal form is an equivalent formula that the
+  // syntactic rules classify sharply and that always compiles
+  // deterministically.
   bool norm_tried = false;
   std::optional<ltl::Formula> normal;
   auto get_normal = [&]() -> const std::optional<ltl::Formula>& {
-    if (!norm_tried && options.class_dispatch && options.normalize_steps > 0) {
+    if (!norm_tried && options.normalize_steps > 0) {
       norm_tried = true;
       ltl::NormalizeOptions nopt;
       nopt.budget = Budget().with_state_cap(options.normalize_steps);
@@ -547,158 +605,36 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair, const Lab
     }
     return normal;
   };
-
-  ltl::Formula routed = spec;
-  if (dispatch && !syn.safety && !syn.guarantee && get_normal()) {
-    core::Classification exact = ltl::syntactic_classification(*normal);
-    if (exact.safety || exact.guarantee) {
-      syn = exact;
-      routed = *normal;
-      result.stats.class_source = ClassSource::Normalized;
-    }
-  }
-
-  // Deterministic compilation of `f` (negated when `negate`). Outside the
-  // old rewrite fragment the ΔΓ-normal form, when one was obtained, gets a
-  // second chance: it is an equivalent hierarchy form (and so is its
-  // negation), so it compiles, usually to a smaller automaton.
-  auto compile_det = [&](const ltl::Formula& f, bool negate) -> std::optional<omega::DetOmega> {
+  auto compiles = [&](const ltl::Formula& f) -> std::optional<omega::DetOmega> {
     try {
-      return ltl::compile(negate ? f_not(f) : f, cache.alphabet);
+      return ltl::compile(f, cache.alphabet);
     } catch (const std::invalid_argument&) {
+      return std::nullopt;
     }
-    if (get_normal() && !(f == *normal)) try {
-      auto m = ltl::compile(negate ? f_not(*normal) : *normal, cache.alphabet);
-      result.stats.class_source = ClassSource::Normalized;
-      return m;
-    } catch (const std::invalid_argument&) {
-    }
-    return std::nullopt;
   };
 
-  // Class shortcut 1 — syntactically-safety spec: det(spec) recognizes a
-  // closed language, so a run is accepting iff it never enters a
-  // residual-empty ("dead") state, and a computation violates the spec iff
-  // some finite prefix already drives the automaton dead. Fairness drops out
-  // entirely: transition fairness is machine-closed (every finite run of a
-  // finite FTS extends to a fair computation — schedule enabled fair
-  // transitions round-robin; stutter self-loops exist only where nothing is
-  // enabled), so a bad prefix is reachable on a fair computation iff it is
-  // reachable at all. Plain BFS over node × automaton pairs decides it.
-  if (dispatch && syn.safety) {
-    auto t_compile = Clock::now();
-    const std::optional<omega::DetOmega> m = compile_det(routed, false);
-    if (m) {  // otherwise fall through to the ω-engine
-      result.stats.compile_seconds = elapsed(t_compile);
-      result.stats.automaton_states = m->state_count();
-      result.stats.product_bound = sg.nodes.size() * m->state_count();
-      result.stats.engine = CheckEngine::SafetyPrefix;
-      auto t_search = Clock::now();
-      const std::vector<bool> live = omega::live_states(*m);
-      FlatInterner<std::uint64_t, IntHash> pids;
-      std::vector<std::int64_t> parent;  // per pid: BFS predecessor, -1 at the root
-      std::deque<std::uint32_t> queue;
-      auto intern = [&](std::size_t n, omega::State q, std::int64_t par) {
-        auto [idx, inserted] = pids.intern(pack(n, q));
-        if (inserted) {
-          budget.require(pids.size() - 1);
-          parent.push_back(par);
-          queue.push_back(static_cast<std::uint32_t>(idx));
-        }
-      };
-      std::optional<std::uint32_t> bad;
-      try {
-        intern(0, m->initial(), -1);
-        while (!queue.empty()) {
-          const std::uint32_t p = queue.front();
-          queue.pop_front();
-          const std::uint64_t key = pids[p];
-          const std::size_t n = node_of(key);
-          const omega::State q = aut_of(key);
-          if (!live[q]) {
-            bad = p;  // dead states are closed under successors; stop here
-            break;
-          }
-          const omega::State q2 = m->next(q, cache.labels[n]);
-          for (auto [target, t] : sg.edges[n]) {
-            (void)t;
-            intern(target, q2, static_cast<std::int64_t>(p));
-          }
-        }
-      } catch (const BudgetExhausted& e) {
-        result.product_states = result.stats.product_states = pids.size();
-        result.stats.search_seconds = elapsed(t_search);
-        give_up(e.outcome(), "the closed-prefix reachability scan");
-        return result;
-      }
-      result.product_states = result.stats.product_states = pids.size();
-      result.stats.search_seconds = elapsed(t_search);
-      if (diagnostics)
-        diagnostics->emit(
-            "MPH-V002", subject,
-            "product of " + std::to_string(sg.nodes.size()) + " system states × " +
-                std::to_string(m->state_count()) + "-state det(spec) automaton scanned " +
-                std::to_string(result.stats.product_states) + " of at most " +
-                std::to_string(result.stats.product_bound) +
-                " states (closed-prefix reachability; no ω-product)");
-      if (!bad) {
-        result.holds = true;
-        return result;
-      }
-      result.holds = false;
-      // Witness: the bad prefix, extended by an arbitrary cycle into a full
-      // computation (every node has a successor; deadlocks stutter). Any
-      // extension of a bad prefix violates a closed property, and by machine
-      // closure some *fair* computation shares this prefix.
-      std::vector<std::size_t> path_nodes;
-      for (std::int64_t p = static_cast<std::int64_t>(*bad); p >= 0; p = parent[p])
-        path_nodes.push_back(node_of(pids[static_cast<std::size_t>(p)]));
-      std::reverse(path_nodes.begin(), path_nodes.end());
-      Counterexample cex;
-      for (std::size_t n : path_nodes) cex.prefix.push_back(sg.nodes[n].valuation);
-      std::vector<std::int64_t> seen_at(sg.nodes.size(), -1);
-      std::vector<std::size_t> walk{path_nodes.back()};
-      seen_at[walk[0]] = 0;
-      for (;;) {
-        const std::size_t next = sg.edges[walk.back()].front().first;
-        if (seen_at[next] >= 0) {
-          // Computation: prefix ++ walk[1..] ++ (walk[j..])^ω where j is
-          // where the walk re-entered itself.
-          for (std::size_t i = 1; i < walk.size(); ++i)
-            cex.prefix.push_back(sg.nodes[walk[i]].valuation);
-          for (std::size_t i = static_cast<std::size_t>(seen_at[next]); i < walk.size(); ++i)
-            cex.loop.push_back(sg.nodes[walk[i]].valuation);
-          break;
-        }
-        seen_at[next] = static_cast<std::int64_t>(walk.size());
-        walk.push_back(next);
-      }
-      result.counterexample = std::move(cex);
-      if (diagnostics) {
-        auto& d = diagnostics->emit("MPH-V003", subject,
-                                    "a computation violates the specification");
-        d.witness = "bad prefix of " + std::to_string(result.counterexample->prefix.size()) +
-                    " state(s) (closed-prefix scan)";
-      }
-      return result;
-    }
+  // The class picks the acceptance shape: the spec's syntactic class, else
+  // that of its normal form.
+  auto t_compile = Clock::now();
+  core::Classification cls = ltl::syntactic_classification(spec);
+  ClassSource cls_source = ClassSource::Syntactic;
+  if (!cls.safety && !cls.guarantee && get_normal()) {
+    cls = ltl::syntactic_classification(*normal);
+    cls_source = ClassSource::Normalized;
   }
 
-  // Compile ¬spec: for a syntactically-guarantee spec under class dispatch,
-  // det(¬spec) recognizes a *closed* language (shortcut 2): restrict it to
-  // its live states and acceptance becomes ⊤ — the search degrades to a
-  // fairness-only lasso hunt instead of inheriting the Fin-shaped
-  // acceptance. Otherwise: deterministic route first, NBA tableau as
-  // fallback.
-  auto t_compile = Clock::now();
-  std::optional<omega::DetOmega> det;
-  std::optional<omega::Nba> nba;
-  bool dual = false;
-  if (dispatch && !syn.safety && syn.guarantee) {
-    det = compile_det(routed, true);
-    dual = det.has_value();
+  // Deterministic ¬spec from the first source that gives one: ¬spec
+  // compiled, spec compiled and complemented, ¬(normal form) compiled.
+  // Otherwise the NBA tableau.
+  std::optional<omega::DetOmega> det = compiles(f_not(spec));
+  if (!det)
+    if (auto m = compiles(spec)) det = omega::complement(*m);
+  bool det_from_normal = false;
+  if (!det && get_normal()) {
+    det = compiles(f_not(*normal));
+    det_from_normal = det.has_value();
   }
-  if (!det) det = compile_det(spec, true);
+  std::optional<omega::Nba> nba;
   if (!det) {
     result.stats.nba_fallback = true;
     auto tableau = ltl::to_nba(f_not(spec), cache.alphabet, budget);
@@ -717,44 +653,78 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair, const Lab
                       "deterministic, usually smaller product";
   }
 
-  // Product acceptance: the fairness marks first, the ¬spec marks shifted
-  // past them, all in one MarkSet.
-  const Acceptance neg_acc =
-      dual ? Acceptance::t() : det ? det->acceptance() : Acceptance::buchi(0);
+  // Acceptance shape. Safety spec: ¬spec is open, so a run is accepting iff
+  // it reaches a universal state; the search stops there and no loop is
+  // accepting (⊥). Guarantee spec: ¬spec is closed, so a run is accepting
+  // iff it stays live; dead states are never interned and the ¬spec
+  // acceptance is ⊤. Otherwise the fairness marks and the ¬spec marks,
+  // shifted past them, in one MarkSet.
+  CheckEngine shape = CheckEngine::Scc;
+  if (det && cls.safety) shape = CheckEngine::SafetyPrefix;
+  else if (det && cls.guarantee) shape = CheckEngine::GuaranteeDual;
+  result.stats.engine = shape;
+  result.stats.class_source = det_from_normal           ? ClassSource::Normalized
+                              : shape != CheckEngine::Scc ? cls_source
+                                                          : ClassSource::None;
+  const Acceptance neg_acc = shape != CheckEngine::Scc ? Acceptance::t()
+                             : det                     ? det->acceptance()
+                                                       : Acceptance::buchi(0);
   const auto neg_marks = static_cast<std::size_t>(std::bit_width(neg_acc.mentioned_marks()));
-  if (fair.mark_count() + neg_marks > kMarkLimit)
+  if (shape != CheckEngine::SafetyPrefix && fair.mark_count() + neg_marks > kMarkLimit)
     throw std::invalid_argument(
         subject + ": the fair product needs " + std::to_string(fair.mark_count() + neg_marks) +
         " acceptance marks (" + std::to_string(fair.mark_count()) + " for fairness, " +
         std::to_string(neg_marks) + " for ¬spec), more than the limit of " +
         std::to_string(kMarkLimit));
   const Mark shift = static_cast<Mark>(fair.mark_count());
-  std::vector<bool> live;
-  if (dual) live = omega::live_states(*det);
-  const NegSpec neg = det ? tabulate(*det, shift, dual ? &live : nullptr) : tabulate(*nba, shift);
+  const NegSpec neg =
+      det ? tabulate(*det, shift, shape == CheckEngine::Scc) : tabulate(*nba, shift);
   result.stats.compile_seconds = elapsed(t_compile);
   result.stats.automaton_states = neg.state_count();
   result.stats.product_bound = sg.nodes.size() * neg.state_count();
-  result.stats.engine = dual ? CheckEngine::GuaranteeDual : CheckEngine::Scc;
-  const Acceptance acc = Acceptance::conj(fair.acceptance(), neg_acc.shift(shift));
+  const Acceptance acc = shape == CheckEngine::SafetyPrefix
+                             ? Acceptance::f()
+                             : Acceptance::conj(fair.acceptance(), neg_acc.shift(shift));
 
   auto emit_product_note = [&] {
     if (!diagnostics) return;
+    const char* shape_note = shape == CheckEngine::SafetyPrefix
+                                 ? "; safety, stops at a bad prefix"
+                             : shape == CheckEngine::GuaranteeDual
+                                 ? "; guarantee dual, fairness-only acceptance"
+                                 : "";
     diagnostics->emit(
         "MPH-V002", subject,
         "product of " + std::to_string(sg.nodes.size()) + " system states × " +
             std::to_string(neg.state_count()) + "-state ¬spec automaton built " +
             std::to_string(result.stats.product_states) + " of at most " +
             std::to_string(result.stats.product_bound) + " states (on-the-fly SCC search" +
-            (dual ? "; guarantee dual, fairness-only acceptance" : "") + ")");
+            shape_note + ")");
   };
 
-  const std::vector<MarkSet>& fair_marks = fair.node_marks();
+  static const std::vector<MarkSet> kNoMarks;
+  const std::vector<MarkSet>& fair_marks =
+      shape == CheckEngine::SafetyPrefix ? kNoMarks : fair.node_marks();
   auto t_search = Clock::now();
   ProductSearch search(sg, cache.labels, fair_marks, neg, acc, budget);
   std::optional<ProductSearch::Lasso> lasso;
+  Counterexample cex;
   try {
     lasso = search.run();
+    if (lasso) {
+      std::vector<std::size_t> stem, loop;
+      for (std::uint32_t pid : lasso->prefix) stem.push_back(search.node_of_pid(pid));
+      for (std::uint32_t pid : lasso->loop) loop.push_back(search.node_of_pid(pid));
+      if (loop.empty()) {
+        // A bad prefix: complete it with a fair computation from its last node.
+        auto [more, cycle] = fair_extension(sg, fair, cache, stem.back(), budget);
+        stem.pop_back();
+        stem.insert(stem.end(), more.begin(), more.end());
+        loop = std::move(cycle);
+      }
+      for (std::size_t n : stem) cex.prefix.push_back(sg.nodes[n].valuation);
+      for (std::size_t n : loop) cex.loop.push_back(sg.nodes[n].valuation);
+    }
   } catch (const BudgetExhausted& e) {
     result.product_states = result.stats.product_states = search.product_states();
     result.stats.search_seconds = elapsed(t_search);
@@ -773,13 +743,14 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair, const Lab
   if (diagnostics) {
     auto& d = diagnostics->emit("MPH-V003", subject,
                                 "a fair computation violates the specification");
-    d.witness = "fair lasso through " + std::to_string(lasso->loop.size()) + " product state(s)";
+    d.witness = !lasso->loop.empty()
+                    ? "fair lasso through " + std::to_string(lasso->loop.size()) +
+                          " product state(s)"
+                    : "bad prefix of " + std::to_string(lasso->prefix.size()) +
+                          " product state(s), extended " +
+                          (fair.mark_count() > kMarkLimit ? "along first edges"
+                                                          : "by a fair lasso");
   }
-  Counterexample cex;
-  for (std::uint32_t pid : lasso->prefix)
-    cex.prefix.push_back(sg.nodes[search.node_of_pid(pid)].valuation);
-  for (std::uint32_t pid : lasso->loop)
-    cex.loop.push_back(sg.nodes[search.node_of_pid(pid)].valuation);
   result.counterexample = std::move(cex);
   return result;
 }
@@ -789,6 +760,10 @@ std::vector<std::string> validated_atoms(const ltl::Formula& spec, const AtomMap
   auto atom_names = spec.atoms();
   if (atom_names.empty())
     throw std::invalid_argument("specification must mention at least one atom");
+  if (atom_names.size() > lang::kMaxProps)
+    throw std::invalid_argument("specification mentions " + std::to_string(atom_names.size()) +
+                                " atoms; the checker supports at most " +
+                                std::to_string(lang::kMaxProps));
   for (const auto& name : atom_names)
     if (!atoms.contains(name))
       throw std::invalid_argument("specification atom not defined: " + name);
@@ -834,9 +809,8 @@ void check_explored(const Fts& system, const ExploreResult& ex,
   const Outcome explored = outcome_under_cap(ex, budget.state_cap());
   if (!is_complete(explored)) {
     // The shared exploration ran out of budget: every spec in the batch not
-    // already proved statically gets the same unknown verdict, before any
-    // worker thread starts — so the result (and the single MPH-V004) is
-    // identical for threads == 1 and N.
+    // already proved statically gets the same unknown verdict and one
+    // batch-level MPH-V004.
     const std::size_t nodes = std::min(ex.graph.nodes.size(), budget.state_cap());
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (resolved[i]) continue;
@@ -874,49 +848,12 @@ void check_explored(const Fts& system, const ExploreResult& ex,
     cache_of[i] = &it->second;
   }
 
-  auto run_one = [&](std::size_t i, analysis::DiagnosticEngine* engine) {
-    CheckResult r = check_one(sg, fair, *cache_of[i], specs[i],
-                              budget, options, engine);
-    r.stats.explore_seconds = ex.seconds;
-    r.stats.label_seconds = cache_of[i]->seconds;
-    results[i] = std::move(r);
-  };
-
-  std::size_t threads = std::max<unsigned>(options.threads, 1);
-  threads = std::min(threads, specs.size());
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      if (!resolved[i]) run_one(i, options.diagnostics);
-    return;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (resolved[i]) continue;
+    results[i] = check_one(sg, fair, *cache_of[i], specs[i], budget, options);
+    results[i].stats.explore_seconds = ex.seconds;
+    results[i].stats.label_seconds = cache_of[i]->seconds;
   }
-
-  // Worker pool over independent specs. Each spec reports into its own
-  // engine; merging in spec order afterwards keeps diagnostics deterministic.
-  std::vector<analysis::DiagnosticEngine> engines(specs.size());
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w)
-      pool.emplace_back([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= specs.size()) return;
-          if (resolved[i]) continue;
-          try {
-            run_one(i, &engines[i]);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
-      });
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  if (options.diagnostics)
-    for (const auto& engine : engines) options.diagnostics->merge(engine);
 }
 
 }  // namespace

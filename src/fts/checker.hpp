@@ -33,40 +33,43 @@ struct Counterexample {
   std::string to_string(const Fts& system) const;
 };
 
-/// Which emptiness machinery decided a check. Scc is the general ω-engine;
-/// the next two are the class-aware shortcuts taken when
-/// `CheckOptions::class_dispatch` is on (docs/VACUITY.md):
-///   SafetyPrefix  — syntactically-safety spec, decided by plain BFS over the
-///                   node × det(spec) product against the dead (residual-empty)
-///                   automaton states. Sound without any fairness machinery:
-///                   transition fairness is machine-closed, so every finite
-///                   run extends to a fair computation, and a closed property
-///                   fails on some fair computation iff some reachable prefix
-///                   is already bad.
-///   GuaranteeDual — syntactically-guarantee spec, checked through its safety
-///                   dual: det(¬spec) is a closed language, so its accepting
-///                   runs are exactly those staying inside the live states;
-///                   pruning the dead states turns the acceptance into ⊤ and
-///                   the product search back into a fairness-only lasso hunt
-///                   instead of inheriting a Fin-shaped acceptance.
-/// A fourth source of verdicts sits above all three:
+/// How a check was decided. One product search decides every spec the
+/// engines see; the first three name the acceptance shape it took, chosen
+/// from the spec's class (ClassSource says where that class came from):
+///   Scc           — the general shape: fairness marks ∧ ¬spec acceptance.
+///   SafetyPrefix  — safety spec: ¬spec is open, so a run is accepting iff
+///                   it reaches a residual-universal ¬spec state. The ¬spec
+///                   acceptance is ⊥ and the search stops at the first such
+///                   state: reachability, with no fairness marks. Sound
+///                   because transition fairness is machine-closed (every
+///                   finite run extends to a fair computation), and the
+///                   witness is completed by a fairness-only search from
+///                   the bad node.
+///   GuaranteeDual — guarantee spec: ¬spec is closed, so a run is accepting
+///                   iff it stays among the live ¬spec states. Dead states
+///                   are never interned and the ¬spec acceptance is ⊤: the
+///                   search is a fairness-only lasso hunt.
+/// In every shape dead (residual-empty) ¬spec states are never interned and
+/// reaching a residual-universal one stops the search with a violation.
+/// A fourth source of verdicts sits above the search:
 ///   StaticProof   — the spec was discharged by `CheckOptions::static_prover`
 ///                   (interval abstract interpretation, src/analysis/absint.*)
 ///                   without exploring a single state; stats report 0 nodes
 ///                   and 0 product states. Only "holds" verdicts arrive this
 ///                   way — a prover that cannot certify the spec returns
-///                   nothing and the check falls through to the engines.
+///                   nothing and the check falls through to the search.
 enum class CheckEngine : std::uint8_t { Scc, SafetyPrefix, GuaranteeDual, StaticProof };
 
 std::string_view to_string(CheckEngine e);
 
-/// Where the classification that picked the engine came from:
-///   None       — class dispatch off: the general engine runs
-///   Syntactic  — ltl::syntactic_classification on the spec as written
-///   Normalized — the spec was ΔΓ-normalized (src/ltl/normalize.hpp) and the
-///                classification/compilation used the hierarchy normal form;
-///                this is how specs *denoting* safety/guarantee but written
-///                otherwise still reach the shortcut engines
+/// Why the search took its acceptance shape:
+///   None       — no class shape applies (or ¬spec is the NBA tableau):
+///                the general shape on the spec as written
+///   Syntactic  — ltl::syntactic_classification of the spec as written
+///   Normalized — the spec's ΔΓ normal form (src/ltl/normalize.hpp) gave
+///                the class, or the deterministic ¬spec automaton; this is
+///                how specs *denoting* safety/guarantee but written
+///                otherwise still get the class shapes
 enum class ClassSource : std::uint8_t { None, Syntactic, Normalized };
 
 std::string_view to_string(ClassSource s);
@@ -81,8 +84,8 @@ struct CheckStats {
   std::size_t product_states = 0;     ///< distinct (node, automaton-state) pairs built
   std::size_t product_bound = 0;      ///< state_graph_nodes × automaton_states
   bool nba_fallback = false;          ///< ¬spec outside the hierarchy fragment
-  CheckEngine engine = CheckEngine::Scc;  ///< machinery that decided the verdict
-  ClassSource class_source = ClassSource::None;  ///< provenance of the routing class
+  CheckEngine engine = CheckEngine::Scc;  ///< acceptance shape (or static proof)
+  ClassSource class_source = ClassSource::None;  ///< why that shape
   std::size_t normalize_steps = 0;  ///< rewrite steps spent by ΔΓ-normalization
   Outcome outcome = Outcome::Complete;  ///< how the check ended (docs/BUDGETS.md)
   double explore_seconds = 0.0;       ///< state-graph exploration
@@ -118,23 +121,11 @@ struct CheckOptions {
   /// individually). A budget without a state cap of its own gets
   /// kDefaultStateCap.
   Budget budget;
-  /// Worker threads checking independent specs. 1 (the default) keeps the
-  /// run fully sequential and deterministic; with more threads, results and
-  /// merged diagnostics still come back in spec order.
-  unsigned threads = 1;
-  /// Class-aware engine dispatch: route syntactically-safety specs to the
-  /// closed-prefix reachability check and syntactically-guarantee specs
-  /// through the safety dual (see CheckEngine). Verdicts are identical to
-  /// the full engines on every input — the vacuity analyzer
-  /// (mph::analysis, docs/VACUITY.md) turns this on to keep mutant batches
-  /// off the ω-product path. Silently skipped for specs outside the
-  /// dispatchable shapes.
-  bool class_dispatch = false;
-  /// Rule-application cap for the ΔΓ-normalization attempted (under
-  /// class_dispatch) when the syntactic classification finds neither safety
-  /// nor guarantee: a completed normal form re-classifies the spec and
-  /// becomes the compilation source, routing it to the shortcut engines.
-  /// 0 disables normalization in the checker.
+  /// Rule-application cap for the ΔΓ-normalization the checker attempts
+  /// when the spec as written shows neither the safety nor the guarantee
+  /// class, or when neither ¬spec nor spec compiles deterministically: a
+  /// completed normal form supplies the class, the deterministic ¬spec
+  /// automaton, or both. 0 disables normalization in the checker.
   std::size_t normalize_steps = 512;
   /// Exploration-free proof hook, consulted per spec *before* the shared
   /// exploration.
@@ -154,9 +145,8 @@ Budget effective_budget(const CheckOptions& options);
 
 /// Batch variant of `check`: consults `options.static_prover`, explores the
 /// state graph once (only when some spec is left unproved), shares atom-label
-/// caches between specs over the same vocabulary, and checks the (mutually
-/// independent) specs on a worker pool of `options.threads` threads.
-/// results[i] corresponds to specs[i].
+/// caches between specs over the same vocabulary, and checks the specs in
+/// order. results[i] corresponds to specs[i].
 std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::Formula>& specs,
                                    const AtomMap& atoms, const CheckOptions& options = {});
 
@@ -174,12 +164,15 @@ std::vector<CheckResult> check_all(const Fts& system, const ExploreResult& explo
                                    const AtomMap& atoms, const CheckOptions& options = {});
 
 /// Checks that every fair computation satisfies `spec`. The atoms of `spec`
-/// must all be present in `atoms`. The negated specification is compiled
-/// deterministically when it lies in the hierarchy fragment; otherwise, for
-/// future-only formulas, a nondeterministic Büchi tableau is used. Throws if
-/// neither route applies, or if a spec that needs the ω-product needs more
-/// acceptance marks (one per weak transition, two per strong transition,
-/// plus those of ¬spec) than the 64 a MarkSet holds.
+/// must all be present in `atoms`, and at most 10 of them. ¬spec is made
+/// deterministic from the first source that gives it: ¬spec compiled, spec
+/// compiled and complemented, the ΔΓ normal form's negation compiled;
+/// otherwise, for future-only formulas, a nondeterministic Büchi tableau is
+/// used. Throws std::invalid_argument if no source applies, or if a spec
+/// whose acceptance reads fairness needs more acceptance marks (one per weak
+/// transition, two per strong transition, plus those of ¬spec) than the 64
+/// a MarkSet holds. A safety spec reads none: past the limit its witness
+/// loop follows first edges and need not be fair.
 ///
 /// When `options.diagnostics` is set, the checker reports through it:
 /// MPH-V001 (tableau fallback), MPH-V002 (product size), MPH-V003 (violation

@@ -1,6 +1,7 @@
 #include "src/fts/programs.hpp"
 
 #include <charconv>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -266,17 +267,31 @@ std::optional<std::size_t> member_size(const Family& family, std::string_view na
   return n;
 }
 
-std::optional<Program> find_model(std::string_view name) {
+namespace {
+
+/// The builder of the model `name`, found without building it; nullopt
+/// when nothing is so named. Throws as find_model does.
+std::optional<std::function<Program()>> find_maker(std::string_view name) {
   for (const NamedModel& model : kNamedModels)
-    if (name == model.name) return model.make();
+    if (name == model.name) return model.make;
   for (const Family& f : kFamilies) {
     if (!name.starts_with(f.prefix)) continue;
-    if (const auto n = member_size(f, name)) return f.make(*n);
+    if (const auto n = member_size(f, name)) return [&f, n = *n] { return f.make(n); };
     throw std::invalid_argument("unknown model '" + std::string(name) + "' (" +
                                 std::string(f.prefix) + "N takes N = " +
                                 std::to_string(f.min_n) + ".." + std::to_string(f.max_n) + ")");
   }
   return std::nullopt;
+}
+
+}  // namespace
+
+bool has_model(std::string_view name) { return find_maker(name).has_value(); }
+
+std::optional<Program> find_model(std::string_view name) {
+  const auto make = find_maker(name);
+  if (!make) return std::nullopt;
+  return (*make)();
 }
 
 }  // namespace mph::fts::programs

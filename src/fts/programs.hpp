@@ -88,4 +88,8 @@ std::optional<std::size_t> member_size(const Family& family, std::string_view na
 /// throws std::invalid_argument naming the valid range.
 std::optional<Program> find_model(std::string_view name);
 
+/// Whether find_model(name) would build a program, decided without building
+/// one; throws exactly where find_model throws.
+bool has_model(std::string_view name);
+
 }  // namespace mph::fts::programs

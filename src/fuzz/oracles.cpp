@@ -384,10 +384,10 @@ CheckOutcome check_ltl_eval(const FuzzCase& c, const Budget& budget) {
 }
 
 // ------------------------------------------------------------------------
-// fts-engines: the checker's on-the-fly SCC engine and its class-dispatched
-// route against a reference leg that builds the whole reachable product
-// here, from public APIs only, and decides it with omega::find_good_loop.
-// Every counterexample is replayed under the independent lasso evaluator.
+// fts-engines: the checker's product search against a reference leg that
+// builds the whole reachable product here, from public APIs only, and
+// decides it with omega::find_good_loop. Every counterexample is replayed
+// under the independent lasso evaluator and as a fair run of the system.
 
 FuzzCase gen_fts_engines(Rng& rng) {
   FuzzCase c;
@@ -490,35 +490,64 @@ std::pair<Outcome, bool> reference_verdict(const fts::Fts& sys, const fts::AtomM
   return {Outcome::Complete, true};
 }
 
+/// Why `cex` is not a fair computation of `sys`, or nullopt when it is one:
+/// it starts in the initial valuation, every step is a move of some enabled
+/// transition (or the stutter of a state that enables none), and its loop
+/// meets each fairness requirement. From valuations alone a transition
+/// counts as taken on a loop step it could have made.
+std::optional<std::string> unfair_step(const fts::Fts& sys, const fts::Counterexample& cex) {
+  std::vector<fts::Valuation> run = cex.prefix;
+  run.insert(run.end(), cex.loop.begin(), cex.loop.end());
+  if (cex.loop.empty() || run.front() != sys.initial_valuation())
+    return "it does not start in the initial valuation";
+  run.push_back(cex.loop.front());
+  auto moves = [&](std::size_t t, std::size_t i) {
+    return sys.enabled(t, run[i]) && sys.apply(t, run[i]) == run[i + 1];
+  };
+  for (std::size_t i = 0; i + 1 < run.size(); ++i) {
+    bool moved = false, stuck = true;
+    for (std::size_t t = 0; t < sys.transition_count() && !moved; ++t) {
+      moved = moves(t, i);
+      stuck = stuck && !sys.enabled(t, run[i]);
+    }
+    if (!moved && !(stuck && run[i] == run[i + 1]))
+      return "step " + std::to_string(i) + " is no move of any transition";
+  }
+  for (std::size_t t = 0; t < sys.transition_count(); ++t) {
+    const fts::Fairness fairness = sys.transition_fairness(t);
+    if (fairness == fts::Fairness::None) continue;
+    bool taken = false, enabled_always = true, enabled_ever = false;
+    for (std::size_t i = cex.prefix.size(); i + 1 < run.size(); ++i) {
+      taken = taken || moves(t, i);
+      enabled_always = enabled_always && sys.enabled(t, run[i]);
+      enabled_ever = enabled_ever || sys.enabled(t, run[i]);
+    }
+    if (!taken && (fairness == fts::Fairness::Weak ? enabled_always : enabled_ever))
+      return "the loop is unfair to transition '" + sys.transition_name(t) + "'";
+  }
+  return std::nullopt;
+}
+
 CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
   if (!c.system || c.formulas.empty()) return CheckOutcome::skip("needs a system and a spec");
   const fts::Fts sys = c.system->build();
   const fts::AtomMap atoms = c.system->atoms();
   const ltl::Formula spec = ltl::parse_formula(c.formulas[0]);
   const fts::CheckOptions plain = oracle_check_options(budget);
-  fts::CheckOptions disp = plain;
-  disp.class_dispatch = true;
   const auto r_plain = fts::check_all(sys, {spec}, atoms, plain)[0];
-  const auto r_disp = fts::check_all(sys, {spec}, atoms, disp)[0];
   const auto [ref_outcome, ref_holds] = reference_verdict(sys, atoms, spec, plain.budget);
   // Outcomes come first: under a deadline one leg can complete while another
   // runs out, so differing verdicts with a non-Complete outcome are budget
   // exhaustion, not a discrepancy.
-  const Outcome agg = worst(worst(r_plain.outcome, r_disp.outcome), ref_outcome);
+  const Outcome agg = worst(r_plain.outcome, ref_outcome);
   if (!is_complete(agg))
     return CheckOutcome::exhausted("engine budget exhausted (" +
                                    std::string(to_string(agg)) + ")");
   auto verdict = [](bool holds) { return std::string(holds ? "holds" : "violated"); };
   if (r_plain.holds != ref_holds)
-    return CheckOutcome::fail("SCC engine and the reference product disagree on '" +
+    return CheckOutcome::fail("product search and the reference product disagree on '" +
                               c.formulas[0] + "' (" + verdict(r_plain.holds) + " vs " +
                               verdict(ref_holds) + ")");
-  // The class-dispatched route (safety prefix, guarantee dual, normalization
-  // rescue) must reach the same verdict as the general engine.
-  if (r_disp.holds != r_plain.holds)
-    return CheckOutcome::fail("class-dispatched route disagrees on '" + c.formulas[0] +
-                              "' (" + verdict(r_plain.holds) + " vs " +
-                              verdict(r_disp.holds) + ")");
   const auto single = fts::check(sys, spec, atoms, plain);
   if (!is_complete(single.outcome))
     return CheckOutcome::exhausted("engine budget exhausted (" +
@@ -536,16 +565,18 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
         s |= lang::Symbol{1} << i;
     return s;
   };
-  for (const auto* r : {&r_plain, &r_disp}) {
-    if (r->holds) continue;
-    MPH_ASSERT(r->counterexample.has_value());
-    Lasso l;
-    for (const auto& v : r->counterexample->prefix) l.prefix.push_back(to_symbol(v));
-    for (const auto& v : r->counterexample->loop) l.loop.push_back(to_symbol(v));
-    if (l.loop.empty() || ltl::evaluates(spec, l, sigma))
-      return CheckOutcome::fail("counterexample for '" + c.formulas[0] +
-                                "' does not falsify the spec under the lasso evaluator");
-  }
+  if (r_plain.holds) return CheckOutcome::pass();
+  MPH_ASSERT(r_plain.counterexample.has_value());
+  const fts::Counterexample& cex = *r_plain.counterexample;
+  Lasso l;
+  for (const auto& v : cex.prefix) l.prefix.push_back(to_symbol(v));
+  for (const auto& v : cex.loop) l.loop.push_back(to_symbol(v));
+  if (l.loop.empty() || ltl::evaluates(spec, l, sigma))
+    return CheckOutcome::fail("counterexample for '" + c.formulas[0] +
+                              "' does not falsify the spec under the lasso evaluator");
+  if (auto fault = unfair_step(sys, cex))
+    return CheckOutcome::fail("counterexample for '" + c.formulas[0] + "' is no fair run: " +
+                              *fault);
   return CheckOutcome::pass();
 }
 
@@ -553,7 +584,7 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
 // vacuity-antecedent: the MPH-Y002 fast path (one reachable-state labeling,
 // no product) against the model checker, three ways. For a □(p→q) with a
 // propositional p, "p is exercised" must equal "G ¬p is violated" on both
-// the class-dispatched safety-prefix engine and the full ω-product — every
+// the product search (safety shape) and the reference product — every
 // reachable state lies on a fair computation (transition fairness is
 // machine-closed), so state labeling and fair-computation checking agree.
 // When p is unreachable, the requirement itself must hold and analyze_vacuity
@@ -603,25 +634,21 @@ CheckOutcome check_vacuity_antecedent(const FuzzCase& c, const Budget& budget) {
                                    std::string(to_string(fast->outcome)) + ")");
   const bool exercised = *fast->value;
 
-  // Paths 2 and 3: model-check G ¬p with and without class dispatch. ¬p is
-  // propositional, so G ¬p is syntactically safety: dispatch takes the
-  // closed-prefix scan, no dispatch the full ω-product.
+  // Paths 2 and 3: model-check G ¬p with the product search and with the
+  // reference product. ¬p is propositional, so G ¬p is syntactically
+  // safety and the search takes the safety shape (stop at a bad prefix).
   const ltl::Formula never_p = ltl::f_always(ltl::f_not(f.child(0).child(0)));
-  fts::CheckOptions dispatched = base;
-  dispatched.class_dispatch = true;
-  fts::CheckOptions full = base;
-  full.class_dispatch = false;
-  const auto r_prefix = fts::check_all(sys, {never_p}, atoms, dispatched)[0];
-  const auto r_omega = fts::check_all(sys, {never_p}, atoms, full)[0];
-  if (!is_complete(r_prefix.outcome) || !is_complete(r_omega.outcome))
+  const auto r_prefix = fts::check_all(sys, {never_p}, atoms, base)[0];
+  const auto [ref_outcome, ref_holds] = reference_verdict(sys, atoms, never_p, base.budget);
+  if (!is_complete(r_prefix.outcome) || !is_complete(ref_outcome))
     return CheckOutcome::exhausted(
         "engine budget exhausted (" +
-        std::string(to_string(worst(r_prefix.outcome, r_omega.outcome))) + ")");
+        std::string(to_string(worst(r_prefix.outcome, ref_outcome))) + ")");
   if (r_prefix.stats.engine != fts::CheckEngine::SafetyPrefix)
-    return CheckOutcome::fail("class dispatch did not route 'G !p' to the "
-                              "closed-prefix engine");
-  if (r_prefix.holds != r_omega.holds)
-    return CheckOutcome::fail("safety-prefix and ω-product engines disagree on '" +
+    return CheckOutcome::fail("the product search did not take the safety shape for "
+                              "'G !p'");
+  if (r_prefix.holds != ref_holds)
+    return CheckOutcome::fail("product search and the reference product disagree on '" +
                               never_p.to_string() + "'");
   if (r_prefix.holds == exercised)
     return CheckOutcome::fail("antecedent labeling says '" + f.child(0).child(0).to_string() +
@@ -661,9 +688,9 @@ CheckOutcome check_vacuity_antecedent(const FuzzCase& c, const Budget& budget) {
 // normalize-agreement: ΔΓ-normalization is language-preserving. A completed
 // normal form must agree with the original formula three ways — the direct
 // lasso evaluator on sampled words, the compiled deterministic automaton,
-// and the model checker's verdict on a random fair transition system (raw
-// engines vs class dispatch with normalization, plus checking the normal
-// form itself through the raw engines).
+// and the model checker's verdict on a random fair transition system (with
+// and without normalization in the checker, plus checking the normal form
+// itself without it).
 
 FuzzCase gen_normalize_agreement(Rng& rng) {
   FuzzCase c;
@@ -720,25 +747,23 @@ CheckOutcome check_normalize_agreement(const FuzzCase& c, const Budget& budget) 
                                 l.to_string(sigma));
   }
   if (auto gate = budget_gate(budget)) return *gate;
-  // Leg 3: model-checking verdicts. Raw ω-engines on the original, class
-  // dispatch with normalization on the original, and raw engines on the
-  // normal form itself must all agree.
+  // Leg 3: model-checking verdicts. The checker without normalization and
+  // with its default normalization budget on the original, and without
+  // normalization on the normal form itself, must all agree.
   const fts::Fts sys = c.system->build();
   const fts::AtomMap atoms = c.system->atoms();
   fts::CheckOptions raw = oracle_check_options(budget);
-  raw.class_dispatch = false;
   raw.normalize_steps = 0;
-  fts::CheckOptions dispatched = raw;
-  dispatched.class_dispatch = true;
-  dispatched.normalize_steps = 512;
+  fts::CheckOptions normalized = raw;
+  normalized.normalize_steps = 512;
   const auto r_raw = fts::check_all(sys, {spec}, atoms, raw)[0];
-  const auto r_disp = fts::check_all(sys, {spec}, atoms, dispatched)[0];
-  if (!is_complete(r_raw.outcome) || !is_complete(r_disp.outcome))
+  const auto r_norm_route = fts::check_all(sys, {spec}, atoms, normalized)[0];
+  if (!is_complete(r_raw.outcome) || !is_complete(r_norm_route.outcome))
     return CheckOutcome::exhausted(
         "engine budget exhausted (" +
-        std::string(to_string(worst(r_raw.outcome, r_disp.outcome))) + ")");
-  if (r_raw.holds != r_disp.holds)
-    return CheckOutcome::fail("class dispatch with normalization changes the verdict of '" +
+        std::string(to_string(worst(r_raw.outcome, r_norm_route.outcome))) + ")");
+  if (r_raw.holds != r_norm_route.holds)
+    return CheckOutcome::fail("normalization in the checker changes the verdict of '" +
                               c.formulas[0] + "'");
   // The checker requires specs to mention an atom; a normal form that
   // constant-folded below that loses this leg only.
@@ -1032,11 +1057,11 @@ std::vector<Oracle>& mutable_registry() {
        "direct LTL lasso evaluation vs the compiled deterministic automaton",
        gen_ltl_eval, check_ltl_eval},
       {"fts-engines",
-       "model checker: SCC engine vs class dispatch vs a reference product decided by "
-       "find_good_loop, with counterexample replay",
+       "model checker: product search vs a reference product decided by "
+       "find_good_loop, with counterexample replay as a fair run",
        gen_fts_engines, check_fts_engines},
       {"vacuity-antecedent",
-       "MPH-Y002 antecedent labeling vs safety-prefix and ω-product checks of G ¬p",
+       "MPH-Y002 antecedent labeling vs product-search and reference checks of G ¬p",
        gen_vacuity_antecedent, check_vacuity_antecedent},
       {"normalize-agreement",
        "ΔΓ-normalization vs lasso evaluation, compiled automata, and checker verdicts",

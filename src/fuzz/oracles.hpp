@@ -1,7 +1,7 @@
 // The oracle registry: each oracle pairs a generator of random inputs with
 // a differential cross-check of two or more independent implementations
 // (operator laws vs enumerated lassos, classify() vs form extraction, the
-// LTL lasso evaluator vs compiled automata, the checker's SCC engine vs a
+// LTL lasso evaluator vs compiled automata, the checker's product search vs a
 // reference product, parser round-trips). A check never decides truth on its own —
 // it only compares answers that must agree.
 #pragma once

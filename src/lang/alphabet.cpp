@@ -17,7 +17,7 @@ Alphabet Alphabet::plain(std::vector<std::string> letters) {
 }
 
 Alphabet Alphabet::of_props(std::vector<std::string> props) {
-  MPH_REQUIRE(!props.empty() && props.size() <= 10,
+  MPH_REQUIRE(!props.empty() && props.size() <= kMaxProps,
               "propositional alphabets support 1..10 props");
   MPH_REQUIRE(std::set<std::string>(props.begin(), props.end()).size() == props.size(),
               "duplicate proposition names");

@@ -20,6 +20,9 @@ namespace mph::lang {
 
 using Symbol = std::uint32_t;
 
+/// Most atomic propositions a propositional alphabet holds (2^10 symbols).
+inline constexpr std::size_t kMaxProps = 10;
+
 class Alphabet {
  public:
   /// Alphabet with explicitly named letters, e.g. {"a","b","c"}.

@@ -44,7 +44,6 @@ std::uint64_t builtin_model_digest(std::string_view name) {
 
 std::uint64_t options_digest(const fts::CheckOptions& options) {
   std::uint64_t h = fnv1a64("opts:");
-  h = fnv1a64_mix(options.class_dispatch ? 1 : 0, h);
   h = fnv1a64_mix(options.normalize_steps, h);
   return h;
 }

@@ -251,12 +251,6 @@ Budget Server::admit(const Json& request) const {
 fts::CheckOptions Server::check_options(const Json& request, const Budget& budget) const {
   fts::CheckOptions options;
   options.budget = budget;
-  if (const Json* threads = request.find("threads"))
-    options.threads = static_cast<unsigned>(std::min<std::uint64_t>(
-        std::max<std::uint64_t>(as_u64_field(*threads, "threads"), 1),
-        config_.max_threads));
-  if (const Json* dispatch = request.find("class_dispatch"))
-    options.class_dispatch = dispatch->as_bool();
   if (const Json* steps = request.find("normalize_steps"))
     options.normalize_steps = as_u64_field(*steps, "normalize_steps");
   return options;
@@ -708,8 +702,6 @@ Json Server::handle_vacuity(const Json& request) {
 
   analysis::VacuityOptions vopts;
   vopts.check = check_options(request, budget);
-  if (const Json* dispatch = request.find("class_dispatch"))
-    vopts.class_dispatch = dispatch->as_bool();
   const analysis::VacuityResult vr =
       analysis::analyze_vacuity(model.system, requirements, model.atoms, diagnostics, vopts);
 
@@ -769,7 +761,14 @@ Json Server::handle_invalidate(const Json& request) {
       throw std::invalid_argument("model_digest must be 16 lowercase hex digits");
     digest = std::stoull(text, nullptr, 16);
   } else if (const Json* model = request.find("model")) {
-    digest = resolve_model(*model).digest;  // refuses what `check` refuses
+    // Refuses what `check` refuses, without building the model.
+    if (!model->is_string()) {
+      digest = resolve_model(*model).digest;
+    } else if (fts::programs::has_model(model->as_string())) {
+      digest = builtin_model_digest(model->as_string());
+    } else {
+      throw std::invalid_argument("unknown model '" + model->as_string() + "'");
+    }
   } else {
     throw std::invalid_argument("invalidate needs a 'model' or 'model_digest'");
   }

@@ -179,9 +179,10 @@ TEST(StaticProver, AgreesWithExplorationEngines) {
   const auto r_plain = fts::check(sys, f, atoms, fts::CheckOptions{});
   EXPECT_EQ(r_static.stats.engine, fts::CheckEngine::StaticProof);
   EXPECT_EQ(r_static.holds, r_plain.holds);
-  // With no static_prover installed the SCC engine runs (the fuzz oracles
-  // rely on that to compare the prover with exploration).
-  EXPECT_EQ(r_plain.stats.engine, fts::CheckEngine::Scc);
+  // With no static_prover installed the product search runs, in the safety
+  // shape (the fuzz oracles rely on that to compare the prover with
+  // exploration).
+  EXPECT_EQ(r_plain.stats.engine, fts::CheckEngine::SafetyPrefix);
 }
 
 TEST(StaticProver, RefusesWhatTheBoxCannotDecide) {

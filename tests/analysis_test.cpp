@@ -600,7 +600,9 @@ TEST(CheckerDiagnostics, V001TableauFallback) {
   DiagnosticEngine e;
   fts::CheckOptions options;
   options.diagnostics = &e;
-  auto result = fts::check(prog.system, ltl::parse_formula("F(t1 & X(!t1 & X t1))"),
+  // No deterministic source takes this spec: neither it nor its negation
+  // compiles, and its ΔΓ normal form does not either.
+  auto result = fts::check(prog.system, ltl::parse_formula("((F t1) U c1) U t2"),
                            prog.atoms, options);
   EXPECT_TRUE(e.has_code("MPH-V001")) << e.to_text();
   (void)result;

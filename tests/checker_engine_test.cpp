@@ -1,9 +1,9 @@
-// The on-the-fly engine internals, observed through CheckStats and the batch
-// API: engine selection (the SCC engine vs the class shortcuts), early exit
-// strictly below the full product bound, counterexamples that replay,
-// budget exhaustion, the acceptance-mark limit, check_all agreement with
-// sequential check — sequentially and on a worker pool — check_all over a
-// graph explored once, read under the check's own state cap, and the plain
+// The product search's internals, observed through CheckStats and the batch
+// API: the acceptance shape each spec's class picks (general, safety stop at
+// a bad prefix, guarantee dual), early exit strictly below the full product
+// bound, counterexamples that replay, budget exhaustion, the acceptance-mark
+// limit, check_all agreement with single checks, check_all over a graph
+// explored once, read under the check's own state cap, and the plain
 // refusals of bad model names and spec atoms.
 #include <gtest/gtest.h>
 
@@ -60,50 +60,72 @@ TEST(CheckStats, BasicFieldsAreConsistent) {
 
 TEST(EngineSelection, BuchiShapedGoesOnTheFly) {
   Program prog = programs::peterson();
-  // ¬(safety) is a guarantee (Inf acceptance) and ¬(response) a persistence
-  // (Fin acceptance): one on-the-fly SCC engine decides both.
+  // ¬(safety) is a guarantee and ¬(response) a persistence (Fin
+  // acceptance): one on-the-fly search decides both, the safety spec with
+  // the bad-prefix stop and the response under the general acceptance.
   auto safety = check(prog.system, parse_formula("G !(c1 & c2)"), prog.atoms);
-  EXPECT_EQ(safety.stats.engine, CheckEngine::Scc);
+  EXPECT_EQ(safety.stats.engine, CheckEngine::SafetyPrefix);
+  EXPECT_EQ(safety.stats.class_source, ClassSource::Syntactic);
   EXPECT_TRUE(safety.holds);
   auto response = check(prog.system, parse_formula("G(t1 -> F c1)"), prog.atoms);
   EXPECT_EQ(response.stats.engine, CheckEngine::Scc);
+  EXPECT_EQ(response.stats.class_source, ClassSource::None);
   EXPECT_TRUE(response.holds);
 }
 
 TEST(EngineSelection, NormalizationRoutesNonSyntacticShapesToShortcuts) {
   Program prog = programs::peterson();
-  CheckOptions opt;
-  opt.class_dispatch = true;
-  // ◇(t1 ∧ ◇c1) denotes a guarantee but is not written as one: the syntactic
-  // classifier alone cannot route it, the ΔΓ-normalizer can.
+  // ◇(t1 ∧ ◇c1) is a guarantee as written, but neither it nor its negation
+  // compiles: only the normal form gives the deterministic ¬spec that the
+  // guarantee dual needs.
   auto spec = parse_formula("F(t1 & F c1)");
-  auto r = check(prog.system, spec, prog.atoms, opt);
+  auto r = check(prog.system, spec, prog.atoms);
   EXPECT_EQ(r.stats.class_source, ClassSource::Normalized);
   EXPECT_EQ(r.stats.engine, CheckEngine::GuaranteeDual);
   EXPECT_GT(r.stats.normalize_steps, 0u);
-  // The verdict agrees with the general engine.
-  CheckOptions full;
-  full.class_dispatch = false;
-  EXPECT_EQ(r.holds, check(prog.system, spec, prog.atoms, full).holds);
 
-  // Syntactically-visible shapes keep the Syntactic source (no normalize).
-  auto direct = check(prog.system, parse_formula("G !(c1 & c2)"), prog.atoms, opt);
+  // Syntactically-visible shapes that compile keep the Syntactic source
+  // (no normalization).
+  auto direct = check(prog.system, parse_formula("G !(c1 & c2)"), prog.atoms);
   EXPECT_EQ(direct.stats.class_source, ClassSource::Syntactic);
   EXPECT_EQ(direct.stats.engine, CheckEngine::SafetyPrefix);
+  EXPECT_EQ(direct.stats.normalize_steps, 0u);
 
-  // normalize_steps = 0 turns the rescue off.
-  CheckOptions off = opt;
+  // Likewise □(c1 ∨ □c2) for the bad-prefix stop of a safety spec.
+  auto safety = check(prog.system, parse_formula("G(c1 | G c2)"), prog.atoms);
+  EXPECT_EQ(safety.stats.class_source, ClassSource::Normalized);
+  EXPECT_EQ(safety.stats.engine, CheckEngine::SafetyPrefix);
+  EXPECT_GT(safety.stats.normalize_steps, 0u);
+
+  // A recurrence written with nested untils: no class shape, and again only
+  // the normal form compiles deterministically.
+  auto nested = parse_formula("(t1 U c1) U (G F t2)");
+  auto n = check(prog.system, nested, prog.atoms);
+  EXPECT_EQ(n.stats.class_source, ClassSource::Normalized);
+  EXPECT_EQ(n.stats.engine, CheckEngine::Scc);
+  EXPECT_FALSE(n.stats.nba_fallback);
+  EXPECT_GT(n.stats.normalize_steps, 0u);
+
+  // normalize_steps = 0 turns normalization off: the NBA tableau decides
+  // the same verdicts.
+  CheckOptions off;
   off.normalize_steps = 0;
-  auto unrouted = check(prog.system, spec, prog.atoms, off);
-  EXPECT_EQ(unrouted.stats.class_source, ClassSource::Syntactic);
-  EXPECT_NE(unrouted.stats.engine, CheckEngine::GuaranteeDual);
-  EXPECT_EQ(r.holds, unrouted.holds);
+  auto unrouted = check(prog.system, nested, prog.atoms, off);
+  EXPECT_EQ(unrouted.stats.class_source, ClassSource::None);
+  EXPECT_TRUE(unrouted.stats.nba_fallback);
+  EXPECT_EQ(unrouted.stats.normalize_steps, 0u);
+  for (const auto& [text, routed] : {std::pair{"G(c1 | G c2)", &safety}, std::pair{"F(t1 & F c1)", &r}}) {
+    auto raw = check(prog.system, parse_formula(text), prog.atoms, off);
+    EXPECT_EQ(raw.stats.engine, CheckEngine::Scc) << text;
+    EXPECT_TRUE(raw.stats.nba_fallback) << text;
+    EXPECT_EQ(raw.holds, routed->holds) << text;
+  }
+  EXPECT_EQ(n.holds, unrouted.holds);
 }
 
 struct Case {
   const char* model;
   const char* spec;
-  bool class_dispatch;
 };
 
 TEST(EngineSelection, RoutesOnDiningRingAndMutexModels) {
@@ -113,23 +135,20 @@ TEST(EngineSelection, RoutesOnDiningRingAndMutexModels) {
     bool holds;
   };
   const Routed cases[] = {
-      {{"dining-4", "G !(eat1 & eat2)", false}, CheckEngine::Scc, true},
-      {{"dining-4", "G !(eat1 & eat2)", true}, CheckEngine::SafetyPrefix, true},
-      {{"dining-3", "G !deadlock", false}, CheckEngine::Scc, false},
-      {{"dining-3", "G !deadlock", true}, CheckEngine::SafetyPrefix, false},
-      {{"dining-3", "G(hungry1 -> F eat1)", false}, CheckEngine::Scc, false},
-      {{"ring-5", "F elected", true}, CheckEngine::GuaranteeDual, true},
-      {{"ring-5", "G(elected -> maxleader)", true}, CheckEngine::SafetyPrefix, true},
-      {{"ring-4", "G !quiet", false}, CheckEngine::Scc, false},
-      {{"trivial-mutex", "F G (t1 & t2)", false}, CheckEngine::Scc, true},
-      {{"dining-3", "(F eat1) U deadlock", false}, CheckEngine::Scc, false},  // NBA
-      {{"peterson", "G(t1 -> F c1)", false}, CheckEngine::Scc, true},
+      {{"dining-4", "G !(eat1 & eat2)"}, CheckEngine::SafetyPrefix, true},
+      {{"dining-3", "G !deadlock"}, CheckEngine::SafetyPrefix, false},
+      {{"dining-3", "G(hungry1 -> F eat1)"}, CheckEngine::Scc, false},
+      {{"ring-5", "F elected"}, CheckEngine::GuaranteeDual, true},
+      {{"ring-5", "G(elected -> maxleader)"}, CheckEngine::SafetyPrefix, true},
+      {{"ring-4", "G !quiet"}, CheckEngine::SafetyPrefix, false},
+      {{"trivial-mutex", "F G (t1 & t2)"}, CheckEngine::Scc, true},
+      {{"dining-3", "(F eat1) U deadlock"}, CheckEngine::GuaranteeDual, false},
+      {{"dining-3", "((F eat1) U hungry1) U deadlock"}, CheckEngine::Scc, false},  // NBA
+      {{"peterson", "G(t1 -> F c1)"}, CheckEngine::Scc, true},
   };
   for (const Routed& r : cases) {
     const Program prog = programs::find_model(r.c.model).value();
-    CheckOptions opts;
-    opts.class_dispatch = r.c.class_dispatch;
-    const CheckResult res = check(prog.system, parse_formula(r.c.spec), prog.atoms, opts);
+    const CheckResult res = check(prog.system, parse_formula(r.c.spec), prog.atoms);
     EXPECT_EQ(res.outcome, Outcome::Complete) << r.c.model << " ⊨ " << r.c.spec;
     EXPECT_EQ(res.stats.engine, r.engine) << r.c.model << " ⊨ " << r.c.spec;
     EXPECT_EQ(res.holds, r.holds) << r.c.model << " ⊨ " << r.c.spec;
@@ -145,7 +164,7 @@ TEST(EarlyExit, ViolationStopsStrictlyBelowTheProductBound) {
   auto spec = parse_formula("G !deadlock");
   auto result = check(prog.system, spec, prog.atoms);
   ASSERT_FALSE(result.holds);
-  EXPECT_EQ(result.stats.engine, CheckEngine::Scc);
+  EXPECT_EQ(result.stats.engine, CheckEngine::SafetyPrefix);
   EXPECT_LT(result.stats.product_states, result.stats.product_bound);
   EXPECT_TRUE(replay_violates(prog, spec, result));
 }
@@ -154,7 +173,7 @@ TEST(EarlyExit, NbaFallbackViolationReplays) {
   // Outside the hierarchy fragment: the tableau NBA drives the same SCC
   // search and its counterexample must still be genuine.
   Program prog = programs::dining(2);
-  auto spec = parse_formula("(F eat1) U deadlock");
+  auto spec = parse_formula("((F eat1) U hungry1) U deadlock");
   auto result = check(prog.system, spec, prog.atoms);
   ASSERT_FALSE(result.holds);
   EXPECT_TRUE(result.stats.nba_fallback);
@@ -165,33 +184,31 @@ TEST(EarlyExit, NbaFallbackViolationReplays) {
 
 TEST(EarlyExit, CounterexamplesReplayOnDiningAndRing) {
   const Case cases[] = {
-      {"dining-3", "G !deadlock", false},           // SCC lasso, exit at a merge
-      {"dining-3", "G !deadlock", true},            // safety-prefix bad prefix
-      {"dining-3", "G(hungry1 -> F eat1)", false},  // Fin-shaped acceptance
-      {"ring-4", "G !quiet", false},                // SCC search on the ring
-      {"peterson", "G F c1", false},                // fairness marks
-      {"dining-3", "(F eat1) U deadlock", false},   // SCC search over the NBA tableau
+      {"dining-3", "G !deadlock"},                      // bad prefix + fair lasso
+      {"dining-3", "G(hungry1 -> F eat1)"},             // Fin-shaped acceptance
+      {"ring-4", "G !quiet"},                           // bad prefix on the ring
+      {"peterson", "G F c1"},                           // fairness marks
+      {"dining-3", "(F eat1) U deadlock"},              // guarantee dual
+      {"dining-3", "((F eat1) U hungry1) U deadlock"},  // over the NBA tableau
   };
   for (const Case& c : cases) {
     const Program prog = programs::find_model(c.model).value();
     const ltl::Formula spec = parse_formula(c.spec);
-    CheckOptions opts;
-    opts.class_dispatch = c.class_dispatch;
-    EXPECT_TRUE(replay_violates(prog, spec, check(prog.system, spec, prog.atoms, opts)))
+    EXPECT_TRUE(replay_violates(prog, spec, check(prog.system, spec, prog.atoms)))
         << c.model << " ⊨ " << c.spec;
   }
 }
 
 TEST(EarlyExit, DeadlockOnDining11WithinFiveThousandPairs) {
-  // The search stops at the first component whose marks satisfy the
-  // acceptance, here a deadlock's stutter self-loop: a few thousand pairs at
-  // most, against 115,468 state-graph nodes.
+  // The search stops at the first residual-universal ¬spec state, right
+  // after the DFS reaches a deadlock: a few thousand pairs at most, against
+  // 115,468 state-graph nodes.
   const Program prog = programs::dining(11);
   const auto spec = parse_formula("G !deadlock");
   const CheckResult r = check(prog.system, spec, prog.atoms);
   ASSERT_EQ(r.outcome, Outcome::Complete);
   ASSERT_FALSE(r.holds);
-  EXPECT_EQ(r.stats.engine, CheckEngine::Scc);
+  EXPECT_EQ(r.stats.engine, CheckEngine::SafetyPrefix);
   EXPECT_LE(r.stats.product_states, 5000u);
   EXPECT_TRUE(replay_violates(prog, spec, r));
 }
@@ -207,9 +224,9 @@ TEST(EarlyExit, FinShapedAndMultiInitialNbaViolationsReplay) {
   ASSERT_FALSE(fin.holds);
   EXPECT_FALSE(fin.stats.nba_fallback);
   EXPECT_TRUE(replay_violates(prog, response, fin));
-  // Outside the fragment, with a tableau that starts in several states:
-  // each initial pair roots the same search in turn.
-  const auto until = parse_formula("(F eat1) U deadlock");
+  // Outside every deterministic source, with a tableau that starts in
+  // several states: each initial pair roots the same search in turn.
+  const auto until = parse_formula("((F eat1) U hungry1) U deadlock");
   const auto until_alphabet = lang::Alphabet::of_props(until.atoms());
   ASSERT_GT(ltl::to_nba(f_not(until), until_alphabet).initial_states().size(), 1u);
   const CheckResult nba = check(prog.system, until, prog.atoms);
@@ -257,34 +274,44 @@ Program flip_system(std::size_t weak) {
         "flip" + std::to_string(t), Fairness::Weak, [](const Valuation&) { return true; },
         [v0](Valuation& v) { v[v0] = 1 - v[v0]; });
   prog.atoms["v0lo"] = var_equals(prog.system, "v0", 0);
+  prog.atoms["v0hi"] = var_equals(prog.system, "v0", 1);
   return prog;
 }
 
 TEST(MarkLimit, SixtyFourMarksFitTheProduct) {
-  // 63 weak-fairness marks plus the Büchi mark of ¬G v0lo: exactly 64.
+  // 63 weak-fairness marks plus the one mark of ¬G(v0lo → F v0hi): exactly
+  // 64. The response holds only because the flips are fair.
   const Program prog = flip_system(63);
-  const auto spec = parse_formula("G v0lo");
-  const CheckResult r = check(prog.system, spec, prog.atoms);
+  const CheckResult r = check(prog.system, parse_formula("G(v0lo -> F v0hi)"), prog.atoms);
   ASSERT_EQ(r.outcome, Outcome::Complete);
-  EXPECT_FALSE(r.holds);
+  EXPECT_TRUE(r.holds);
   EXPECT_EQ(r.stats.engine, CheckEngine::Scc);
-  EXPECT_TRUE(replay_violates(prog, spec, r));
-}
-
-TEST(MarkLimit, PastTheLimitOnlyTheOmegaProductIsRefused) {
-  // 64 weak transitions: the safety prefix never reads fairness marks and
-  // gets its verdict; the ω-product would need 65 marks and is refused by
-  // name, with the count and the limit.
-  const Program prog = flip_system(64);
+  // The safety spec reads no fairness marks; its witness loop is fair.
   const auto spec = parse_formula("G v0lo");
-  CheckOptions dispatched;
-  dispatched.class_dispatch = true;
-  const CheckResult safety = check(prog.system, spec, prog.atoms, dispatched);
+  const CheckResult safety = check(prog.system, spec, prog.atoms);
   ASSERT_EQ(safety.outcome, Outcome::Complete);
   EXPECT_FALSE(safety.holds);
   EXPECT_EQ(safety.stats.engine, CheckEngine::SafetyPrefix);
+  EXPECT_TRUE(replay_violates(prog, spec, safety));
+}
+
+TEST(MarkLimit, PastTheLimitOnlyTheOmegaProductIsRefused) {
+  // Past 64 marks the safety shape still gets its verdict, since it never
+  // reads fairness marks (its witness loop then follows first edges). A spec
+  // whose acceptance reads fairness would need 65 marks and is refused by
+  // name, with the count and the limit.
+  const auto spec = parse_formula("G v0lo");
+  for (std::size_t weak : {64, 100}) {
+    const Program prog = flip_system(weak);
+    const CheckResult safety = check(prog.system, spec, prog.atoms);
+    ASSERT_EQ(safety.outcome, Outcome::Complete) << weak;
+    EXPECT_FALSE(safety.holds) << weak;
+    EXPECT_EQ(safety.stats.engine, CheckEngine::SafetyPrefix) << weak;
+    EXPECT_TRUE(replay_violates(prog, spec, safety)) << weak;
+  }
+  const Program prog = flip_system(64);
   try {
-    check(prog.system, spec, prog.atoms);
+    check(prog.system, parse_formula("G(v0lo -> F v0hi)"), prog.atoms);
     FAIL() << "the ω-product past 64 marks must be refused";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -302,6 +329,10 @@ TEST(ModelRegistry, BadNamesAndAtomsAreRefusedWithoutSourcePaths) {
       EXPECT_EQ(programs::member_size(f, std::string(f.prefix) + std::to_string(n)), n);
   EXPECT_FALSE(programs::find_model("nope"));
   const Program peterson = programs::peterson();
+  const Program dining11 = programs::dining(11);
+  std::string all_eat = "eat1";
+  for (int i = 2; i <= 11; ++i) all_eat += " & eat" + std::to_string(i);
+  const ltl::Formula eleven_atoms = parse_formula("G !(" + all_eat + ")");
   const std::pair<std::function<void()>, const char*> refused[] = {
       {[] { programs::find_model("dining-99"); }, "(dining-N takes N = 2..12)"},
       {[] { programs::find_model("dining-1"); }, "(dining-N takes N = 2..12)"},
@@ -310,6 +341,7 @@ TEST(ModelRegistry, BadNamesAndAtomsAreRefusedWithoutSourcePaths) {
       {[] { programs::find_model("ring-+5"); }, "(ring-N takes N = 2..10)"},
       {[&] { check(peterson.system, parse_formula("G foo"), peterson.atoms); }, "foo"},
       {[&] { check(peterson.system, parse_formula("G true"), peterson.atoms); }, "atom"},
+      {[&] { check(dining11.system, eleven_atoms, dining11.atoms); }, "at most 10"},
   };
   for (const auto& [run, expected] : refused) {
     try {
@@ -324,10 +356,11 @@ TEST(ModelRegistry, BadNamesAndAtomsAreRefusedWithoutSourcePaths) {
 }
 
 TEST(RingLeader, PropertiesUnderBothEngines) {
+  // With and without normalization in the checker.
   const Program prog = programs::ring_leader(5);
-  for (bool dispatch : {false, true}) {
+  for (std::size_t steps : {0, 512}) {
     CheckOptions opts;
-    opts.class_dispatch = dispatch;
+    opts.normalize_steps = steps;
     // Chang–Roberts: some leader is elected under weak fairness, and only
     // the maximal id can win.
     EXPECT_TRUE(check(prog.system, parse_formula("F elected"), prog.atoms, opts).holds);
@@ -353,7 +386,7 @@ std::vector<ltl::Formula> mixed_specs() {
       parse_formula("G(t1 -> F c1)"),          // response (SCC engine)
       parse_formula("G !c1"),                  // safety, violated
       parse_formula("G F c1"),                 // recurrence, violated
-      parse_formula("F(t1 & X(!t1 & X t1))"),  // NBA fallback
+      parse_formula("((F t1) U c1) U t2"),     // NBA fallback
       ltl::patterns::accessibility("t2", "c2"),
   };
 }
@@ -376,7 +409,7 @@ TEST(CheckAll, AgreesWithSequentialCheck) {
   }
 }
 
-TEST(CheckAll, WorkerPoolMatchesSequentialBatch) {
+TEST(CheckAll, StrongFairnessBatchMatchesSingleChecks) {
   Program prog = programs::semaphore_mutex(3, Fairness::Strong);
   std::vector<ltl::Formula> specs;
   for (int i = 1; i <= 3; ++i) {
@@ -384,39 +417,36 @@ TEST(CheckAll, WorkerPoolMatchesSequentialBatch) {
                                                  "c" + std::to_string(i)));
     specs.push_back(parse_formula("G !c" + std::to_string(i)));
   }
-  auto sequential = check_all(prog.system, specs, prog.atoms);
-  CheckOptions options;
-  options.threads = 4;
-  auto threaded = check_all(prog.system, specs, prog.atoms, options);
-  ASSERT_EQ(threaded.size(), sequential.size());
+  auto batch = check_all(prog.system, specs, prog.atoms);
+  ASSERT_EQ(batch.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(threaded[i].holds, sequential[i].holds) << specs[i].to_string();
-    EXPECT_EQ(threaded[i].stats.product_states, sequential[i].stats.product_states);
-    if (!threaded[i].holds) {
-      EXPECT_TRUE(replay_violates(prog, specs[i], threaded[i]));
+    const CheckResult single = check(prog.system, specs[i], prog.atoms);
+    EXPECT_EQ(batch[i].holds, single.holds) << specs[i].to_string();
+    EXPECT_EQ(batch[i].stats.product_states, single.stats.product_states);
+    if (!batch[i].holds) {
+      EXPECT_TRUE(replay_violates(prog, specs[i], batch[i]));
     }
   }
 }
 
-TEST(CheckAll, ThreadedDiagnosticsMergeInSpecOrder) {
+TEST(CheckAll, DiagnosticsComeInSpecOrder) {
+  // A batch reports exactly what its specs report one by one, in spec order.
   Program prog = programs::peterson();
   auto specs = mixed_specs();
-  analysis::DiagnosticEngine sequential_engine, threaded_engine;
-  CheckOptions sequential_options;
-  sequential_options.diagnostics = &sequential_engine;
-  CheckOptions threaded_options;
-  threaded_options.threads = 3;
-  threaded_options.diagnostics = &threaded_engine;
-  check_all(prog.system, specs, prog.atoms, sequential_options);
-  check_all(prog.system, specs, prog.atoms, threaded_options);
-  ASSERT_EQ(threaded_engine.size(), sequential_engine.size());
-  for (std::size_t i = 0; i < threaded_engine.size(); ++i) {
-    EXPECT_EQ(threaded_engine.diagnostics()[i].code, sequential_engine.diagnostics()[i].code);
-    EXPECT_EQ(threaded_engine.diagnostics()[i].subject,
-              sequential_engine.diagnostics()[i].subject);
+  analysis::DiagnosticEngine batch_engine, single_engine;
+  CheckOptions batch_options;
+  batch_options.diagnostics = &batch_engine;
+  check_all(prog.system, specs, prog.atoms, batch_options);
+  CheckOptions single_options;
+  single_options.diagnostics = &single_engine;
+  for (const auto& spec : specs) check(prog.system, spec, prog.atoms, single_options);
+  ASSERT_EQ(batch_engine.size(), single_engine.size());
+  for (std::size_t i = 0; i < batch_engine.size(); ++i) {
+    EXPECT_EQ(batch_engine.diagnostics()[i].code, single_engine.diagnostics()[i].code);
+    EXPECT_EQ(batch_engine.diagnostics()[i].subject, single_engine.diagnostics()[i].subject);
   }
-  EXPECT_TRUE(threaded_engine.has_code("MPH-V001"));
-  EXPECT_TRUE(threaded_engine.has_code("MPH-V003"));
+  EXPECT_TRUE(batch_engine.has_code("MPH-V001"));
+  EXPECT_TRUE(batch_engine.has_code("MPH-V003"));
 }
 
 TEST(CheckAll, EmptyBatchAndErrors) {
@@ -424,11 +454,9 @@ TEST(CheckAll, EmptyBatchAndErrors) {
   EXPECT_TRUE(check_all(prog.system, {}, prog.atoms).empty());
   std::vector<ltl::Formula> bad = {parse_formula("G nosuchatom")};
   EXPECT_THROW(check_all(prog.system, bad, prog.atoms), std::invalid_argument);
-  CheckOptions threaded;
-  threaded.threads = 2;
   std::vector<ltl::Formula> tiny = {parse_formula("G !(c1 & c2)"),
                                     parse_formula("G !c1")};
-  CheckOptions capped = threaded;
+  CheckOptions capped;
   capped.budget.with_state_cap(3);  // exploration alone must blow the cap
   auto exhausted = check_all(prog.system, tiny, prog.atoms, capped);
   ASSERT_EQ(exhausted.size(), tiny.size());
@@ -519,7 +547,7 @@ TEST(Budgets, CancellationReportsCancelled) {
   EXPECT_FALSE(r.holds);
 }
 
-TEST(Budgets, ExhaustionIsDeterministicAcrossThreadCounts) {
+TEST(Budgets, ExhaustionIsDeterministicAcrossRuns) {
   Program prog = programs::peterson();
   auto free_run = check(prog.system, parse_formula("G !(c1 & c2)"), prog.atoms);
   const std::size_t graph_nodes = free_run.stats.state_graph_nodes;
@@ -530,19 +558,18 @@ TEST(Budgets, ExhaustionIsDeterministicAcrossThreadCounts) {
   // counts interned states, not time.
   std::vector<ltl::Formula> specs = {
       parse_formula("G !(c1 & c2)"),
-      parse_formula("G F c1"),       // SCC engine builds the full product
+      parse_formula("G F c1"),       // the search builds the full product
       parse_formula("G(t1 -> F c1)"),
-      parse_formula("F(t1 & X(!t1 & X t1))"),  // NBA fallback
+      parse_formula("((F t1) U c1) U t2"),  // NBA fallback
   };
   CheckOptions seq;
   seq.budget.with_state_cap(graph_nodes);
-  CheckOptions par = seq;
-  par.threads = 4;
-  analysis::DiagnosticEngine seq_diags, par_diags;
+  CheckOptions again = seq;
+  analysis::DiagnosticEngine seq_diags, again_diags;
   seq.diagnostics = &seq_diags;
-  par.diagnostics = &par_diags;
+  again.diagnostics = &again_diags;
   auto a = check_all(prog.system, specs, prog.atoms, seq);
-  auto b = check_all(prog.system, specs, prog.atoms, par);
+  auto b = check_all(prog.system, specs, prog.atoms, again);
   ASSERT_EQ(a.size(), b.size());
   bool any_exhausted = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -557,16 +584,16 @@ TEST(Budgets, ExhaustionIsDeterministicAcrossThreadCounts) {
   }
   EXPECT_TRUE(any_exhausted);
   EXPECT_TRUE(seq_diags.has_code("MPH-V004"));
-  ASSERT_EQ(par_diags.size(), seq_diags.size());
+  ASSERT_EQ(again_diags.size(), seq_diags.size());
   for (std::size_t i = 0; i < seq_diags.size(); ++i)
-    EXPECT_EQ(par_diags.diagnostics()[i].code, seq_diags.diagnostics()[i].code);
+    EXPECT_EQ(again_diags.diagnostics()[i].code, seq_diags.diagnostics()[i].code);
 }
 
 
 // --- one exploration, many consumers -----------------------------------------
 // check_all over a caller-explored graph must be the four-argument form
 // exactly: same verdict, outcome, engine, product size and counterexample,
-// with and without class dispatch, on every model family.
+// on every model family.
 TEST(SharedGraph, GivenGraphMatchesTheExploringForm) {
   const std::vector<std::string> dining_specs = {"G !deadlock", "G(hungry1 -> F eat1)",
                                                  "G !(eat1 & eat2)", "G(eat1 -> F !eat1)"};
@@ -585,16 +612,15 @@ TEST(SharedGraph, GivenGraphMatchesTheExploringForm) {
   for (const auto& [prog, texts] : cases) {
     std::vector<ltl::Formula> specs;
     for (const auto& t : *texts) specs.push_back(parse_formula(t));
-    for (bool dispatch : {false, true}) {
-      CheckOptions opts;
-      opts.class_dispatch = dispatch;
+    {
+      const CheckOptions opts;
       const ExploreResult ex = explore(prog.system, effective_budget(opts));
       ASSERT_TRUE(is_complete(ex.outcome));
       const auto shared = check_all(prog.system, ex, specs, prog.atoms, opts);
       const auto own = check_all(prog.system, specs, prog.atoms, opts);
       ASSERT_EQ(shared.size(), own.size());
       for (std::size_t i = 0; i < specs.size(); ++i) {
-        const std::string where = (*texts)[i] + (dispatch ? " (dispatch)" : "");
+        const std::string& where = (*texts)[i];
         EXPECT_EQ(shared[i].holds, own[i].holds) << where;
         EXPECT_EQ(shared[i].outcome, own[i].outcome) << where;
         EXPECT_EQ(shared[i].stats.engine, own[i].stats.engine) << where;

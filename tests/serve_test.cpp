@@ -72,17 +72,13 @@ TEST(ServeDigest, ModelDigestIsContentAddressed) {
 
 TEST(ServeDigest, OptionsDigestKeysEngineRoutes) {
   fts::CheckOptions base;
-  fts::CheckOptions dispatch = base;
-  dispatch.class_dispatch = true;
   fts::CheckOptions steps = base;
   steps.normalize_steps = 0;
-  EXPECT_NE(options_digest(base), options_digest(dispatch));
   EXPECT_NE(options_digest(base), options_digest(steps));
-  EXPECT_NE(options_digest(steps), options_digest(dispatch));
-  // Worker threads select no engine route, so they share the default key.
-  fts::CheckOptions threaded = base;
-  threaded.threads = 4;
-  EXPECT_EQ(options_digest(base), options_digest(threaded));
+  // The budget shapes no route, so it shares the default key.
+  fts::CheckOptions capped = base;
+  capped.budget.with_state_cap(1000);
+  EXPECT_EQ(options_digest(base), options_digest(capped));
 }
 
 // ------------------------------------------------------------- wire JSON
@@ -134,36 +130,37 @@ TEST(ServeServer, EngineOptionVariantsAreKeyedSeparately) {
       R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"]})js"));
   const Json steps = req(server.handle_line(
       R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"normalize_steps":0})js"));
-  const Json dispatch = req(server.handle_line(
-      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"class_dispatch":true})js"));
   EXPECT_EQ(field(*result0(steps), "cache"), "miss")
       << "normalize_steps must not be served from the default route's entry";
-  EXPECT_EQ(field(*result0(dispatch), "cache"), "miss")
-      << "class_dispatch must not be served from the default route's entry";
-  EXPECT_EQ(field(*result0(dispatch), "engine"), "safety-prefix");
-  // Three distinct cache keys, one verdict.
-  EXPECT_EQ(server.verdict_cache().size(), 3u);
+  // Two distinct cache keys, one verdict.
+  EXPECT_EQ(server.verdict_cache().size(), 2u);
   EXPECT_EQ(field(*result0(plain), "verdict"), "holds");
   EXPECT_EQ(field(*result0(steps), "verdict"), "holds");
-  EXPECT_EQ(field(*result0(dispatch), "verdict"), "holds");
   EXPECT_NE(field(plain, "options_digest"), field(steps, "options_digest"));
-  EXPECT_NE(field(plain, "options_digest"), field(dispatch, "options_digest"));
 }
 
 TEST(ServeServer, ForceSccFieldIsIgnored) {
-  // force_scc is not a check option: every ω-product check already runs the
-  // one SCC engine, so the field changes neither the route nor the cache
-  // key, and the default route's entry answers it.
+  // force_scc, class_dispatch and threads are not check options: one product
+  // search decides every spec, on one thread, so these fields change
+  // neither the route nor the cache key, and the default route's entry
+  // answers them.
   Server server;
   const Json plain = req(server.handle_line(
       R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"]})js"));
-  const Json forced = req(server.handle_line(
-      R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"force_scc":true})js"));
-  ASSERT_TRUE(result0(plain) && result0(forced));
-  EXPECT_EQ(field(*result0(forced), "cache"), "hit");
-  EXPECT_EQ(field(*result0(forced), "verdict"), "holds");
-  EXPECT_EQ(field(*result0(forced), "engine"), "SCC");
-  EXPECT_EQ(field(plain, "options_digest"), field(forced, "options_digest"));
+  ASSERT_TRUE(result0(plain));
+  EXPECT_EQ(field(*result0(plain), "engine"), "safety-prefix");
+  EXPECT_EQ(field(*result0(plain), "class_source"), "syntactic");
+  for (const char* extra : {R"js("force_scc":true)js", R"js("class_dispatch":true)js",
+                            R"js("class_dispatch":false)js", R"js("threads":4)js"}) {
+    const Json again = req(server.handle_line(
+        R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],)js" +
+        std::string(extra) + "}"));
+    ASSERT_TRUE(result0(again)) << extra;
+    EXPECT_EQ(field(*result0(again), "cache"), "hit") << extra;
+    EXPECT_EQ(field(*result0(again), "verdict"), "holds") << extra;
+    EXPECT_EQ(field(*result0(again), "engine"), "safety-prefix") << extra;
+    EXPECT_EQ(field(plain, "options_digest"), field(again, "options_digest")) << extra;
+  }
   EXPECT_EQ(server.verdict_cache().size(), 1u);
 }
 
@@ -352,9 +349,9 @@ TEST(ServeServer, UnsatisfiableGuardIsAStructuredBadRequest) {
 
 TEST(ServeServer, PastTheMarkLimitOnlyTheOmegaProductIsRefused) {
   // 100 weakly fair transitions each flip v0: the fair product would need
-  // 100 fairness marks, past the 64 a MarkSet holds. The dispatched safety
-  // spec never reads them and gets its verdict; the ω-product check is a
-  // bad-request that names the mark count and the limit.
+  // 100 fairness marks, past the 64 a MarkSet holds. The safety spec never
+  // reads them and gets its verdict; the response's check is a bad-request
+  // that names the mark count and the limit.
   std::string transitions;
   for (int t = 0; t < 100; ++t)
     transitions += std::string(t ? "," : "") + R"js({"name":"f)js" + std::to_string(t) +
@@ -363,14 +360,13 @@ TEST(ServeServer, PastTheMarkLimitOnlyTheOmegaProductIsRefused) {
       R"js({"vars":[{"name":"v0","lo":0,"hi":1,"init":0}],"transitions":[)js" + transitions +
       "]}";
   Server server;
-  const Json dispatched = req(server.handle_line(
-      R"js({"op":"check","model":)js" + model +
-      R"js(,"specs":["G v0lo"],"class_dispatch":true})js"));
-  ASSERT_TRUE(dispatched.find("ok")->as_bool()) << dispatched.dump();
-  EXPECT_EQ(field(*result0(dispatched), "verdict"), "violated");
-  EXPECT_EQ(field(*result0(dispatched), "engine"), "safety-prefix");
-  const Json refused = req(server.handle_line(
+  const Json safety = req(server.handle_line(
       R"js({"op":"check","model":)js" + model + R"js(,"specs":["G v0lo"]})js"));
+  ASSERT_TRUE(safety.find("ok")->as_bool()) << safety.dump();
+  EXPECT_EQ(field(*result0(safety), "verdict"), "violated");
+  EXPECT_EQ(field(*result0(safety), "engine"), "safety-prefix");
+  const Json refused = req(server.handle_line(
+      R"js({"op":"check","model":)js" + model + R"js(,"specs":["G(v0lo -> F v0hi)"]})js"));
   ASSERT_FALSE(refused.find("ok")->as_bool());
   const Json* error = refused.find("error");
   ASSERT_TRUE(error);
@@ -392,6 +388,9 @@ TEST(ServeServer, BadModelNamesAndAtomsAreRefusedWithoutSourcePaths) {
       {R"js({"op":"invalidate","model":"nope"})js", "unknown model 'nope'"},
       {R"js({"op":"check","model":"peterson","specs":["G foo"]})js", "not defined: foo"},
       {R"js({"op":"check","model":"peterson","specs":["G true"]})js", "at least one atom"},
+      {R"js({"op":"check","model":"dining-11","specs":["G !(eat1 & eat2 & eat3 & eat4 & )js"
+       R"js(eat5 & eat6 & eat7 & eat8 & eat9 & eat10 & eat11)"]})js",
+       "at most 10"},
   };
   for (const auto& [line, expected] : refused) {
     const Json response = req(server.handle_line(line));

@@ -47,8 +47,8 @@ int usage(std::ostream& out, int code) {
          "  --model NAME    lint a built-in model (--list-models)\n"
          "  --models        lint every built-in model\n"
          "  --check FORMULA model-check FORMULA against the --model (repeatable);\n"
-         "                  prints a table of engine statistics per spec\n"
-         "  --threads N     worker threads for --check batches (default 1)\n"
+         "                  prints a table of search statistics per spec: the\n"
+         "                  acceptance shape (engine) and the class that chose it\n"
          "  --budget-states N\n"
          "                  state cap per --check construction (default 200000); an\n"
          "                  exhausted check reports outcome budget-states (MPH-V004)\n"
@@ -58,10 +58,6 @@ int usage(std::ostream& out, int code) {
          "                  requirements come from --check, --spec and positional formulas\n"
          "  --coverage      transition mutation coverage of the requirements against the\n"
          "                  --model (MPH-Y004): which transitions the spec actually pins\n"
-         "  --no-dispatch   send every vacuity/coverage mutant through the full ω-product\n"
-         "                  engines instead of the class-aware shortcuts (docs/VACUITY.md)\n"
-         "  --dispatch      use class-aware dispatch for --check itself (engine column\n"
-         "                  then reports safety-prefix / guarantee-dual where taken)\n"
          "  --absint        interval abstract interpretation of the --model's symbolic\n"
          "                  description (dining-N, ring-N): box invariant plus dead\n"
          "                  transitions (MPH-F010), tightened domains (MPH-F011) and\n"
@@ -149,7 +145,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> spec_files;
   std::vector<std::string> model_names;
   std::vector<std::string> check_formulas;
-  unsigned check_threads = 1;
   std::size_t budget_states = 0;
   std::uint64_t budget_ms = 0;
   bool all_models = false, json = false, quiet = false, werror = false;
@@ -159,8 +154,6 @@ int main(int argc, char** argv) {
   bool print_normal = false;      // --normalize: also print the normal forms
   bool subsume = false;           // --subsume: pairwise language inclusion
   std::optional<core::PropertyClass> strict_class;  // --strict-class gate
-  bool dispatch_check = false;    // --dispatch: class-aware engines for --check
-  bool dispatch_mutants = true;   // --no-dispatch: full ω-product for mutants
   bool absint = false;            // --absint: interval analysis + static prover
   analysis::AnalysisOptions options;
 
@@ -192,8 +185,6 @@ int main(int argc, char** argv) {
       all_models = true;
     } else if (arg == "--check") {
       check_formulas.push_back(next("--check"));
-    } else if (arg == "--threads") {
-      check_threads = static_cast<unsigned>(next_num("--threads", 1024));
     } else if (arg == "--budget-states") {
       budget_states = next_num("--budget-states", UINT64_MAX);
     } else if (arg == "--budget-ms") {
@@ -202,10 +193,6 @@ int main(int argc, char** argv) {
       vacuity = true;
     } else if (arg == "--coverage") {
       coverage = true;
-    } else if (arg == "--no-dispatch") {
-      dispatch_mutants = false;
-    } else if (arg == "--dispatch") {
-      dispatch_check = true;
     } else if (arg == "--absint") {
       absint = true;
     } else if (arg == "--strict-unknown") {
@@ -372,9 +359,7 @@ int main(int argc, char** argv) {
         std::vector<ltl::Formula> specs;
         for (const auto& text : check_formulas) specs.push_back(ltl::parse_formula(text));
         fts::CheckOptions copts;
-        copts.threads = check_threads;
         copts.diagnostics = &engine;
-        copts.class_dispatch = dispatch_check;
         if (sym) copts.static_prover = analysis::make_static_prover(*sym);
         if (budget_states > 0) copts.budget.with_state_cap(budget_states);
         if (auto deadline = explore_budget.deadline()) copts.budget.with_deadline(*deadline);
@@ -382,8 +367,8 @@ int main(int argc, char** argv) {
         for (const auto& r : results)
           if (!is_complete(r.outcome)) unknown_seen = true;
         if (!json && !quiet) {
-          TextTable t({"spec", "verdict", "outcome", "engine", "automaton", "product",
-                       "bound", "search s"});
+          TextTable t({"spec", "verdict", "outcome", "engine", "class", "automaton",
+                       "product", "bound", "search s"});
           for (std::size_t i = 0; i < results.size(); ++i) {
             const auto& s = results[i].stats;
             std::ostringstream secs;
@@ -395,6 +380,7 @@ int main(int argc, char** argv) {
             t.add_row({check_formulas[i], verdict,
                        std::string(to_string(results[i].outcome)),
                        std::string(to_string(s.engine)) + (s.nba_fallback ? " (NBA)" : ""),
+                       std::string(to_string(s.class_source)),
                        std::to_string(s.automaton_states),
                        std::to_string(s.product_states), std::to_string(s.product_bound),
                        secs.str()});
@@ -425,7 +411,6 @@ int main(int argc, char** argv) {
         for (const auto& text : req_texts) reqs.push_back(ltl::parse_formula(text));
 
         fts::CheckOptions copts;
-        copts.threads = check_threads;
         if (budget_states > 0) copts.budget.with_state_cap(budget_states);
         if (budget_ms > 0)
           copts.budget.with_deadline_after(std::chrono::milliseconds(budget_ms));
@@ -433,7 +418,6 @@ int main(int argc, char** argv) {
         if (vacuity) {
           analysis::VacuityOptions vopts;
           vopts.check = copts;
-          vopts.class_dispatch = dispatch_mutants;
           const auto vr = analysis::analyze_vacuity(program.system, explored, reqs,
                                                     program.atoms, engine, vopts);
           for (const auto& rv : vr.requirements)
@@ -521,7 +505,6 @@ int main(int argc, char** argv) {
         if (coverage) {
           analysis::CoverageOptions kopts;
           kopts.check = copts;
-          kopts.class_dispatch = dispatch_mutants;
           const auto cr = analysis::analyze_coverage(program.system, explored, reqs,
                                                      program.atoms, engine, kopts);
           if (!is_complete(cr.outcome) || cr.unknown > 0) unknown_seen = true;

@@ -4,7 +4,6 @@
 //   mph-serve --listen 7411                 serve one client at a time on 127.0.0.1:7411
 //   mph-serve --max-budget-states 50000     ceiling on any request's state cap
 //   mph-serve --max-budget-ms 2000          ceiling on any request's wall-clock budget
-//   mph-serve --max-threads 4               ceiling on requested worker threads
 //   mph-serve --no-cache                    disable the verdict cache (debugging)
 //
 // Protocol: one JSON request per line, one JSON response per line. Ops:
@@ -52,7 +51,6 @@ int usage(std::ostream& out, int code) {
          "  --max-budget-states N ceiling on any request's state cap (default 200000)\n"
          "  --max-budget-ms N     ceiling on any request's wall-clock budget in ms\n"
          "                        (default 0 = requests may run undeadlined)\n"
-         "  --max-threads N       ceiling on a request's threads (default 8)\n"
          "  --no-cache            disable the verdict cache\n"
          "  --no-subsume          disable cross-spec verdict sharing via language\n"
          "                        inclusion (docs/SERVE.md)\n"
@@ -187,8 +185,6 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(next_num("--max-budget-states", UINT64_MAX));
     } else if (arg == "--max-budget-ms") {
       config.max_budget_ms = next_num("--max-budget-ms", UINT64_MAX);
-    } else if (arg == "--max-threads") {
-      config.max_threads = static_cast<unsigned>(next_num("--max-threads", 1024));
     } else if (arg == "--no-cache") {
       config.cache = false;
     } else if (arg == "--no-subsume") {
